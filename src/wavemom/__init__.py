@@ -26,9 +26,7 @@ from .momenta import (
 from .spectral import (
     OamSpectrum,
     RingSpectrum,
-    analytic_ft_bessel,
-    analytic_ft_mathieu,
-    analytic_ft_plane,
+    analytic_ring,
     bessel_coeffs_of_mathieu,
     oam_spectrum,
     parseval_norm,
@@ -52,9 +50,6 @@ from .waves import (
     MathieuWave,
     PlaneWave,
     elliptic_coords,
-    eval_bessel_wave,
-    eval_mathieu_wave,
-    eval_plane_wave,
     sample_grid,
 )
 

@@ -51,13 +51,21 @@ def _pair(text, kind, flag):
         raise UsageError(f"{flag}: {exc}") from exc
 
 
+def _emit(text, path):
+    """Write text to path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def build_parser():
     parser = _Parser(prog="wavemom", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="sample a wave family member onto a field file")
-    gen.add_argument("--family", required=True,
-                     choices=["plane", "bessel", "mathieu-even", "mathieu-odd"])
+    gen.add_argument("--family", required=True, choices=list(waves.FAMILIES))
     gen.add_argument("--k", type=float, required=True, help="wavenumber (rad/length)")
     gen.add_argument("--theta", type=float, required=True, help="cone angle in (0, pi)")
     gen.add_argument("--phi", type=float, default=0.0, help="plane-wave azimuth")
@@ -73,35 +81,30 @@ def build_parser():
                      help="interpret --theta/--phi in degrees")
     gen.add_argument("--out", required=True)
 
-    spec = sub.add_parser("spectrum", help="ring and charge spectra of a field file")
-    spec.add_argument("--in", dest="infile", required=True)
-    spec.add_argument("--in-format", choices=["hwmf", "csv"], default="hwmf",
-                      help="csv ingests x,y,re,im lattices (supply --k/--theta)")
-    spec.add_argument("--k", type=float, default=None,
-                      help="wavenumber for csv input")
-    spec.add_argument("--theta", type=float, default=None,
-                      help="cone angle for csv input")
-    spec.add_argument("--ring-samples", type=int, default=spectral.DEFAULT_RING_SAMPLES)
-    spec.add_argument("--n-range", default="-40,40", metavar="NMIN,NMAX")
-    spec.add_argument("--window", default="none", choices=["none", "hann"])
+    # options of every command that reads a field file
+    reader = _Parser(add_help=False)
+    reader.add_argument("--in", dest="infile", required=True)
+    reader.add_argument("--in-format", choices=["hwmf", "csv"], default="hwmf",
+                        help="csv ingests x,y,re,im lattices (supply --k/--theta)")
+    reader.add_argument("--k", type=float, default=None,
+                        help="wavenumber for csv input")
+    reader.add_argument("--theta", type=float, default=None,
+                        help="cone angle for csv input")
+    reader.add_argument("--ring-samples", type=int, default=spectral.DEFAULT_RING_SAMPLES)
+    reader.add_argument("--n-range", default="-40,40", metavar="NMIN,NMAX")
+    reader.add_argument("--window", default="none", choices=["none", "hann"])
+
+    spec = sub.add_parser("spectrum", parents=[reader],
+                          help="ring and charge spectra of a field file")
     spec.add_argument("--out-ring", default=None)
     spec.add_argument("--out-oam", default=None)
     spec.add_argument("--out-summary", default=None,
                       help="JSON summary (default: stdout)")
 
-    mom = sub.add_parser("momenta", help="momentum report for a field file")
-    mom.add_argument("--in", dest="infile", required=True)
-    mom.add_argument("--in-format", choices=["hwmf", "csv"], default="hwmf",
-                     help="csv ingests x,y,re,im lattices (supply --k/--theta)")
-    mom.add_argument("--k", type=float, default=None,
-                     help="wavenumber for csv input")
-    mom.add_argument("--theta", type=float, default=None,
-                     help="cone angle for csv input")
+    mom = sub.add_parser("momenta", parents=[reader],
+                         help="momentum report for a field file")
     mom.add_argument("--methods", default="spectral,grid",
                      help="comma list from spectral,grid,paper")
-    mom.add_argument("--ring-samples", type=int, default=spectral.DEFAULT_RING_SAMPLES)
-    mom.add_argument("--n-range", default="-40,40", metavar="NMIN,NMAX")
-    mom.add_argument("--window", default="none", choices=["none", "hann"])
     mom.add_argument("--f", type=float, default=None, help="semi-focal distance")
     mom.add_argument("--parity", choices=["even", "odd"], default=None)
     mom.add_argument("--n", type=int, default=None, help="elliptic order")
@@ -123,15 +126,7 @@ def build_parser():
 def _cmd_gen(args):
     theta = math.radians(args.theta) if args.degrees else args.theta
     phi = math.radians(args.phi) if args.degrees else args.phi
-    if args.family == "plane":
-        label = waves.PlaneWave(args.k, theta, phi)
-    elif args.family == "bessel":
-        label = waves.BesselWave(args.k, theta, args.n)
-    else:
-        if args.f is None:
-            raise UsageError("--f is required for elliptic families")
-        parity = args.family.split("-", 1)[1]
-        label = waves.MathieuWave(args.k, theta, args.n, parity, args.f)
+    label = waves.make_wave(args.family, args.k, theta, phi=phi, n=args.n, f=args.f)
 
     nx, ny = _pair(args.grid, int, "--grid")
     dx = args.dx if args.dx is not None else 2.0 * math.pi / (32.0 * args.k)
@@ -172,12 +167,7 @@ def _cmd_spectrum(args):
         "weighted_ring_norm": math.sin(ring.theta) * spectral.parseval_norm(ring),
         "parseval_residual": spectral.parseval_residual(ring, spec),
     }
-    text = json.dumps(summary, indent=2)
-    if args.out_summary:
-        with open(args.out_summary, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(summary, indent=2) + "\n", args.out_summary)
     return 0
 
 
@@ -195,12 +185,7 @@ def _cmd_momenta(args):
         grid, methods=methods, m=args.ring_samples, n_min=n_min, n_max=n_max,
         window=args.window, f=args.f, parity=args.parity, n=args.n, q=args.q,
     )
-    text = fieldio.report_json_str(reports)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(fieldio.report_json_str(reports) + "\n", args.out)
     return 0
 
 
@@ -228,12 +213,7 @@ def _cmd_mathieu_table(args):
                 f"{tag},{args.n},{float(q):.17g},{eig.char_value:.17g},"
                 f"{int(j)},{float(coeff):.17g}"
             )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -22,4 +22,4 @@ class UndefinedMeanError(ValueError):
 
 
 class UsageError(ValueError):
-    """Bad command-line invocation."""
+    """Bad invocation: a required argument is missing or malformed."""

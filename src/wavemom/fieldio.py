@@ -8,12 +8,14 @@ emissions print floats with 17 significant digits, which round-trips
 doubles exactly.
 """
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 
 from .errors import FormatError
-from .waves import FieldGrid, GridMeta
+from .waves import FieldGrid, GridMeta, Wave
 
 MAGIC = "HWMF1"
 _HEADER_LIMIT = 1 << 16
@@ -63,8 +65,13 @@ def read_field(path):
         nx, ny = int(header["nx"]), int(header["ny"])
         dx, dy = float(header["dx"]), float(header["dy"])
         x0, y0 = float(header["x0"]), float(header["y0"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: incomplete header: {exc}") from exc
+        k = None if header.get("k") is None else float(header["k"])
+        theta = None if header.get("theta") is None else float(header["theta"])
+        z_plane = float(header.get("z_plane", 0.0))
+        # either cone label may be null; one that is given must be valid
+        Wave.check_cone(1.0 if k is None else k, math.pi / 2 if theta is None else theta)
+    except (KeyError, TypeError, ValueError) as exc:  # RangeError is a ValueError
+        raise FormatError(f"{path}: incomplete or invalid header: {exc}") from exc
 
     payload_start = len(line)
     expected = nx * ny * 16
@@ -86,12 +93,8 @@ def read_field(path):
             f"{path}: non-finite sample at index {bad} "
             f"(byte offset {payload_start + 16 * bad})"
         )
-    meta = GridMeta(
-        k=None if header.get("k") is None else float(header["k"]),
-        theta=None if header.get("theta") is None else float(header["theta"]),
-        z_plane=float(header.get("z_plane", 0.0)),
-        description=str(header.get("description", "")),
-    )
+    meta = GridMeta(k=k, theta=theta, z_plane=z_plane,
+                    description=str(header.get("description", "")))
     return FieldGrid(nx, ny, dx, dy, x0, y0, values.astype(np.complex128), meta)
 
 
@@ -144,6 +147,13 @@ def read_field_csv(path, k=None, theta=None, z_plane=0.0, description=""):
         raise FormatError(f"{path}: no data rows")
 
     data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        # rows are the file's non-blank lines after the header, if any
+        with open(path, "r", encoding="utf-8") as fh:
+            linenos = [n for n, line in enumerate(fh, 1) if line.strip()]
+        lineno = linenos[len(linenos) - len(rows) + int(np.argmin(finite))]
+        raise FormatError(f"{path}:{lineno}: non-finite value")
     xs, dx = _lattice_axis(data[:, 0], path, "x")
     ys, dy = _lattice_axis(data[:, 1], path, "y")
     nx, ny = len(xs), len(ys)
@@ -187,34 +197,6 @@ def write_oam_csv(spec, path):
             fh.write(f"{n},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(abs(c) ** 2)}\n")
 
 
-def oam_to_dict(spec):
-    return {
-        "k": spec.k,
-        "theta": spec.theta,
-        "n_min": spec.n_min,
-        "n_max": spec.n_max,
-        "norm": spec.norm,
-        "window": spec.window,
-        "coeffs": [
-            {"n": int(n), "re": c.real, "im": c.imag, "abs2": abs(c) ** 2}
-            for n, c in zip(spec.charges(), spec.coeffs)
-        ],
-    }
-
-
-def write_oam_json(spec, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(oam_to_dict(spec), fh, indent=2)
-        fh.write("\n")
-
-
-def write_report_json(reports, path):
-    """Momentum reports (a list, one entry per method) as JSON."""
-    entries = [r.as_dict() for r in reports]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(entries, fh, indent=2)
-        fh.write("\n")
-
-
 def report_json_str(reports):
-    return json.dumps([r.as_dict() for r in reports], indent=2)
+    """Momentum reports (a list, one entry per method) as JSON text."""
+    return json.dumps([dataclasses.asdict(r) for r in reports], indent=2)

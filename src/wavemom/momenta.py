@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, RangeError, UndefinedMeanError
-from .spectral import analytic_ft_plane, oam_spectrum, ring_spectrum_from_grid
+from .spectral import analytic_ring, oam_spectrum, ring_spectrum_from_grid
 from .specfun import mathieu_eigen
 
 GRID_OPS = ("lz", "px", "py", "elliptic")
@@ -39,19 +39,6 @@ class MomentumReport:
     window: str
     notes: str = ""
 
-    def as_dict(self):
-        return {
-            "mean_lz": self.mean_lz,
-            "mean_px": self.mean_px,
-            "mean_py": self.mean_py,
-            "mean_pz": self.mean_pz,
-            "elliptic_invariant": self.elliptic_invariant,
-            "method": self.method,
-            "norm_used": self.norm_used,
-            "window": self.window,
-            "notes": self.notes,
-        }
-
 
 def mean_charge(spec):
     """Mean topological charge sum n |c_n|^2 / sum |c_n|^2."""
@@ -68,7 +55,7 @@ def oam_plane_wave(label, m=1024, n_half=40):
     All charge magnitudes of the azimuth delta are equal, so any symmetric
     charge window cancels exactly and the result is 0.
     """
-    spec = oam_spectrum(analytic_ft_plane(label, m), -n_half, n_half)
+    spec = oam_spectrum(analytic_ring(label, m), -n_half, n_half)
     return mean_charge(spec)
 
 

@@ -4,9 +4,9 @@ A monochromatic field on one cone is fully described by its angular
 spectrum on the circle k_t = k sin(theta).  This module extracts that ring
 amplitude from sampled grids by direct nonuniform evaluation of the Fourier
 sum (exact with respect to the sampled data, no interpolation), projects
-ring profiles onto integer topological charges, and provides the analytic
-ring profiles of the three wave families together with the overlap and norm
-identities connecting the two representations.
+ring profiles onto integer topological charges, wraps a wave's analytic
+ring profile as a spectrum, and provides the overlap and norm identities
+connecting the two representations.
 
 Conventions: ring samples live at the M azimuths phi_m = -pi + 2 pi m / M
 and carry the sqrt(sin theta) kernel weight of the forward transform; the
@@ -24,10 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeError
-from .specfun import mathieu_ce, mathieu_se
-from .waves import BesselWave, MathieuWave, PlaneWave
 
-WEIGHT_CONVENTION = "paper-(sin theta)^{1/2}"
 DEFAULT_RING_SAMPLES = 1024
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -51,7 +48,6 @@ class RingSpectrum:
     theta: float
     samples: np.ndarray = field(repr=False)
     window: str = "none"
-    weight_convention: str = WEIGHT_CONVENTION
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128)
@@ -77,7 +73,6 @@ class OamSpectrum:
     n_max: int
     coeffs: np.ndarray = field(repr=False)
     norm: float = None
-    window: str = "none"
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
@@ -167,49 +162,13 @@ def oam_spectrum(ring, n_min=-40, n_max=40):
     signs = np.where(ns % 2 == 0, 1.0, -1.0)
     raw = signs * transform[np.mod(ns, m)]
     pref = math.sqrt(math.sin(ring.theta)) / _SQRT_2PI * (2.0 * math.pi / m)
-    return OamSpectrum(ring.k, ring.theta, int(n_min), int(n_max), pref * raw,
-                       window=ring.window)
+    return OamSpectrum(ring.k, ring.theta, int(n_min), int(n_max), pref * raw)
 
 
-def analytic_ft_plane(label, m=DEFAULT_RING_SAMPLES):
-    """On-cone ring profile of a plane wave: a regularised azimuth delta.
-
-    The delta is represented as unit mass on the azimuth node nearest phi,
-    value M / (2 pi), times the (sin theta)^{-1/2} prefactor; the
-    accompanying cone delta is carried by the (k, theta) metadata, which
-    overlap operations require to match.
-    """
-    if not isinstance(label, PlaneWave):
-        raise TypeError("analytic_ft_plane expects a PlaneWave label")
+def analytic_ring(label, m=DEFAULT_RING_SAMPLES):
+    """On-cone ring spectrum of a wave label from its analytic ring profile."""
     _check_ring_size(m)
-    samples = np.zeros(m, dtype=np.complex128)
-    node = int(round((label.phi + math.pi) * m / (2.0 * math.pi))) % m
-    samples[node] = m / (2.0 * math.pi) / math.sqrt(math.sin(label.theta))
-    return RingSpectrum(label.k, label.theta, samples)
-
-
-def analytic_ft_bessel(label, m=DEFAULT_RING_SAMPLES):
-    """On-cone ring profile of a circular wave: (2 pi sin theta)^{-1/2} e^{i n phi}."""
-    if not isinstance(label, BesselWave):
-        raise TypeError("analytic_ft_bessel expects a BesselWave label")
-    _check_ring_size(m)
-    phi = ring_azimuths(m)
-    samples = np.exp(1j * label.n * phi) / math.sqrt(2.0 * math.pi * math.sin(label.theta))
-    return RingSpectrum(label.k, label.theta, samples)
-
-
-def analytic_ft_mathieu(label, m=DEFAULT_RING_SAMPLES):
-    """On-cone ring profile of an elliptic wave: (pi sin theta)^{-1/2} ce_n or se_n."""
-    if not isinstance(label, MathieuWave):
-        raise TypeError("analytic_ft_mathieu expects a MathieuWave label")
-    _check_ring_size(m)
-    phi = ring_azimuths(m)
-    if label.parity == "even":
-        profile = mathieu_ce(label.n, label.q, phi)
-    else:
-        profile = mathieu_se(label.n, label.q, phi)
-    samples = profile.astype(np.complex128) / math.sqrt(math.pi * math.sin(label.theta))
-    return RingSpectrum(label.k, label.theta, samples)
+    return RingSpectrum(label.k, label.theta, label.ring_profile(ring_azimuths(m)))
 
 
 def _require_same_cone(a, b):

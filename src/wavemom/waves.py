@@ -10,13 +10,14 @@ k cos(theta).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import special
 
-from .errors import RangeError
+from .errors import RangeError, UsageError
 from .specfun import (
+    MathieuClass,
     mathieu_ce,
     mathieu_ce_radial,
     mathieu_norm_constant,
@@ -26,91 +27,184 @@ from .specfun import (
 )
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**n without pow() rounding
-
-
-def _check_cone(k, theta):
-    if not (k > 0.0 and math.isfinite(k)):
-        raise RangeError(f"wavenumber k must be positive and finite, got {k}")
-    if not (0.0 < theta < math.pi):
-        raise RangeError(f"cone angle theta must lie in (0, pi), got {theta}")
+_BELOW_PI = math.nextafter(math.pi, 0.0)
 
 
 @dataclass(frozen=True)
-class PlaneWave:
-    """Plane wave labelled by (k, theta, phi)."""
+class Wave:
+    """A separable wave on the cone (k, theta), paired with its ring amplitude.
+
+    Each family adds its own labels and implements ``field(x, y, z)``, the
+    complex field at points given as scalars or broadcastable arrays, and
+    ``ring_profile(phi)``, its on-cone angular spectrum at the uniform ring
+    azimuths ``phi`` (see ``spectral.ring_azimuths``).
+    """
 
     k: float
     theta: float
-    phi: float
 
     def __post_init__(self):
-        _check_cone(self.k, self.theta)
+        self.check_cone(self.k, self.theta)
+
+    @staticmethod
+    def check_cone(k, theta):
+        """Raise RangeError unless k is positive and finite and 0 < theta < pi."""
+        if not (k > 0.0 and math.isfinite(k)):
+            raise RangeError(f"wavenumber k must be positive and finite, got {k}")
+        if not (0.0 < theta < math.pi):
+            raise RangeError(f"cone angle theta must lie in (0, pi), got {theta}")
+
+    @property
+    def kt(self):
+        return self.k * math.sin(self.theta)
+
+    @property
+    def kz(self):
+        return self.k * math.cos(self.theta)
+
+
+@dataclass(frozen=True)
+class PlaneWave(Wave):
+    """Plane wave labelled by (k, theta, phi)."""
+
+    phi: float
+    family = "plane"
+
+    def __post_init__(self):
+        super().__post_init__()
         if not (-math.pi <= self.phi < math.pi):
             raise RangeError(f"azimuth phi must lie in [-pi, pi), got {self.phi}")
 
-    @property
-    def kt(self):
-        return self.k * math.sin(self.theta)
+    def field(self, x, y, z):
+        """sqrt(sin theta) e^{i (k_t (x cos phi + y sin phi) + k_z z)}."""
+        kx = self.kt * math.cos(self.phi)
+        ky = self.kt * math.sin(self.phi)
+        phase = kx * x + ky * y + self.kz * z
+        return math.sqrt(math.sin(self.theta)) * np.exp(1j * phase)
 
-    @property
-    def kz(self):
-        return self.k * math.cos(self.theta)
+    def ring_profile(self, phi):
+        """A regularised azimuth delta.
+
+        The delta is represented as unit mass on the ring node nearest the
+        wave's azimuth, value M / (2 pi), times the (sin theta)^{-1/2}
+        prefactor; the accompanying cone delta is carried by the (k, theta)
+        metadata, which overlap operations require to match.
+        """
+        m = len(phi)
+        samples = np.zeros(m, dtype=np.complex128)
+        node = int(round((self.phi - phi[0]) * m / (2.0 * math.pi))) % m
+        samples[node] = m / (2.0 * math.pi) / math.sqrt(math.sin(self.theta))
+        return samples
 
 
 @dataclass(frozen=True)
-class BesselWave:
+class BesselWave(Wave):
     """Circular-cylindrical wave labelled by (k, theta, n)."""
 
-    k: float
-    theta: float
     n: int
+    family = "bessel"
 
     def __post_init__(self):
-        _check_cone(self.k, self.theta)
+        super().__post_init__()
         if self.n != int(self.n):
             raise RangeError(f"topological charge must be an integer, got {self.n}")
 
-    @property
-    def kt(self):
-        return self.k * math.sin(self.theta)
+    def field(self, x, y, z):
+        """i^n sqrt(2 pi sin theta) J_n(k_t r) e^{i (n phi + k_z z)}; 0 on-axis unless n = 0."""
+        r = np.hypot(x, y)
+        phi = np.arctan2(y, x)
+        amp = _I_POW[self.n % 4] * math.sqrt(2.0 * math.pi * math.sin(self.theta))
+        return amp * special.jv(self.n, self.kt * r) * np.exp(1j * (self.n * phi + self.kz * z))
 
-    @property
-    def kz(self):
-        return self.k * math.cos(self.theta)
+    def ring_profile(self, phi):
+        """(2 pi sin theta)^{-1/2} e^{i n phi}."""
+        return np.exp(1j * self.n * phi) / math.sqrt(2.0 * math.pi * math.sin(self.theta))
 
 
 @dataclass(frozen=True)
-class MathieuWave:
+class MathieuWave(Wave):
     """Elliptic-cylindrical wave labelled by (k, theta, n) on foci at +-f."""
 
-    k: float
-    theta: float
     n: int
     parity: str
     f: float
 
     def __post_init__(self):
-        _check_cone(self.k, self.theta)
-        if self.parity not in ("even", "odd"):
-            raise RangeError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        nmin = 0 if self.parity == "even" else 1
-        if self.n < nmin:
-            raise RangeError(f"{self.parity} order must be >= {nmin}, got {self.n}")
+        super().__post_init__()
+        MathieuClass.from_order(self.parity, self.n)  # validates parity and order
         if not (self.f > 0.0 and math.isfinite(self.f)):
             raise RangeError(f"semi-focal distance f must be positive, got {self.f}")
 
     @property
-    def kt(self):
-        return self.k * math.sin(self.theta)
-
-    @property
-    def kz(self):
-        return self.k * math.cos(self.theta)
+    def family(self):
+        return f"mathieu-{self.parity}"
 
     @property
     def q(self):
         """Separation parameter (f k sin(theta) / 2)^2."""
         return (self.f * self.kt / 2.0) ** 2
+
+    def field(self, x, y, z):
+        """sqrt(sin theta) c_n Ce_n(xi) ce_n(eta) e^{i k_z z}, or the s_n Se_n se_n odd form.
+
+        Points are mapped through :func:`elliptic_coords`; the result is
+        continuous across the inter-foci segment because the angular and
+        radial factors are jointly even (even parity) or jointly odd (odd
+        parity) under the eta branch flip there.  Points beyond the
+        supported radial range raise a RangeError naming the first one.
+        """
+        xi, eta = elliptic_coords(x, y, self.f)
+        q = self.q
+        limit = radial_xi_max(q)
+        if limit < 0.0:
+            raise RangeError(
+                f"elliptic waves cannot be sampled at q = {q:g}: the "
+                "radial series loses all double-precision digits"
+            )
+        if np.any(xi > limit):
+            index = np.unravel_index(int(np.argmax(xi)), np.shape(xi))
+            raise RangeError(
+                f"sample {tuple(map(int, index))} at xi = {np.max(xi):g} exceeds the supported "
+                f"radial range {limit:g} for q = {q:g}; shrink the grid "
+                "or increase f"
+            )
+        cn = mathieu_norm_constant(self.parity, self.n, q)
+        radial = mathieu_ce_radial if self.parity == "even" else mathieu_se_radial
+        rad = radial(self.n, q, xi)
+        ang = self._angular(eta)
+        carrier = np.exp(1j * self.kz * np.asarray(z, dtype=float))
+        return math.sqrt(math.sin(self.theta)) * cn * rad * ang * carrier
+
+    def ring_profile(self, phi):
+        """(pi sin theta)^{-1/2} ce_n(phi; q), or se_n for odd parity."""
+        return self._angular(phi).astype(np.complex128) / math.sqrt(math.pi * math.sin(self.theta))
+
+    def _angular(self, u):
+        angular = mathieu_ce if self.parity == "even" else mathieu_se
+        return angular(self.n, self.q, u)
+
+
+# family name -> (class, labels the name fixes)
+FAMILIES = {
+    "plane": (PlaneWave, {}),
+    "bessel": (BesselWave, {}),
+    "mathieu-even": (MathieuWave, {"parity": "even"}),
+    "mathieu-odd": (MathieuWave, {"parity": "odd"}),
+}
+
+
+def make_wave(family, k, theta, **labels):
+    """The member of a named family on the (k, theta) cone.
+
+    Takes from ``labels`` the ones the family carries (phi; n; n and f) and
+    ignores the others; a carried label given as None is a UsageError.
+    """
+    cls, fixed = FAMILIES[family]
+    carried = {f.name: labels.get(f.name) for f in fields(cls)[2:]} | fixed
+    for name, value in carried.items():
+        if value is None:
+            raise UsageError(f"label {name} is required for {family} waves")
+    return cls(k, theta, **carried)
 
 
 @dataclass(frozen=True)
@@ -168,83 +262,28 @@ def elliptic_coords(x, y, f):
     Inverts x = f cosh(xi) cos(eta), y = f sinh(xi) sin(eta) with xi >= 0
     and eta in [-pi, pi); the sign of eta matches the sign of y, points on
     the inter-foci segment get xi = 0 and eta >= 0 (the origin maps to
-    eta = pi/2), and the ray x <= -f, y = 0 maps to eta = -pi.
+    eta = pi/2), and the ray x <= -f, y = 0 maps to eta = -pi.  Points with
+    y > 0 whose eta rounds to pi get the largest double below pi instead.
     """
     if not (f > 0.0):
         raise RangeError(f"semi-focal distance f must be positive, got {f}")
     z = (np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)) / f
     w = np.arccosh(z)
     xi = np.maximum(w.real, 0.0)
-    eta = np.where(w.imag >= math.pi, -math.pi, w.imag)
+    eta = np.where(w.imag < math.pi, w.imag, np.where(np.asarray(y) > 0.0, _BELOW_PI, -math.pi))
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         return float(xi), float(eta)
     return xi, eta
-
-
-def _plane_field(label, x, y, z):
-    kx = label.kt * math.cos(label.phi)
-    ky = label.kt * math.sin(label.phi)
-    phase = kx * x + ky * y + label.kz * z
-    return math.sqrt(math.sin(label.theta)) * np.exp(1j * phase)
-
-
-def _bessel_field(label, x, y, z):
-    r = np.hypot(x, y)
-    phi = np.arctan2(y, x)
-    amp = _I_POW[label.n % 4] * math.sqrt(2.0 * math.pi * math.sin(label.theta))
-    return amp * special.jv(label.n, label.kt * r) * np.exp(1j * (label.n * phi + label.kz * z))
-
-
-def _mathieu_field(label, x, y, z):
-    xi, eta = elliptic_coords(x, y, label.f)
-    q = label.q
-    if label.parity == "even":
-        cn = mathieu_norm_constant("even", label.n, q)
-        rad = mathieu_ce_radial(label.n, q, xi)
-        ang = mathieu_ce(label.n, q, eta)
-    else:
-        cn = mathieu_norm_constant("odd", label.n, q)
-        rad = mathieu_se_radial(label.n, q, xi)
-        ang = mathieu_se(label.n, q, eta)
-    carrier = np.exp(1j * label.kz * np.asarray(z, dtype=float))
-    return math.sqrt(math.sin(label.theta)) * cn * rad * ang * carrier
-
-
-def eval_plane_wave(label, point):
-    """Evaluate a plane wave at (x, y, z); |value| = sqrt(sin theta)."""
-    x, y, z = point
-    return complex(_plane_field(label, float(x), float(y), float(z)))
-
-
-def eval_bessel_wave(label, point):
-    """Evaluate a circular wave at (x, y, z); zero on-axis unless n = 0."""
-    x, y, z = point
-    return complex(_bessel_field(label, float(x), float(y), float(z)))
-
-
-def eval_mathieu_wave(label, point):
-    """Evaluate an elliptic wave at (x, y, z).
-
-    The point is mapped through :func:`elliptic_coords`; the result is
-    continuous across the inter-foci segment because the angular and
-    radial factors are jointly even (even parity) or jointly odd (odd
-    parity) under the eta branch flip there.
-    """
-    x, y, z = point
-    return complex(_mathieu_field(label, float(x), float(y), float(z)))
 
 
 def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None):
     """Sample a wave family member onto a FieldGrid.
 
     Samples sit at x0 + j*dx, y0 + i*dy; when x0/y0 are omitted the grid is
-    centred on the origin.  For elliptic waves the grid must stay inside the
-    supported radial range; the first offending sample index is reported
-    otherwise.
+    centred on the origin.  A family may refuse samples outside its
+    supported range: elliptic waves name the first offending sample index.
     """
     nx, ny = int(nx), int(ny)
-    if nx < 16 or ny < 16:
-        raise RangeError(f"grid must be at least 16x16, got {nx}x{ny}")
     if x0 is None:
         x0 = -0.5 * (nx - 1) * dx
     if y0 is None:
@@ -252,34 +291,8 @@ def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None
     x = x0 + dx * np.arange(nx)
     y = y0 + dy * np.arange(ny)
     X, Y = np.meshgrid(x, y)
-
-    if isinstance(label, PlaneWave):
-        vals = _plane_field(label, X, Y, z)
-        family = "plane"
-    elif isinstance(label, BesselWave):
-        vals = _bessel_field(label, X, Y, z)
-        family = "bessel"
-    elif isinstance(label, MathieuWave):
-        xi, _ = elliptic_coords(X, Y, label.f)
-        limit = radial_xi_max(label.q)
-        if limit < 0.0:
-            raise RangeError(
-                f"elliptic waves cannot be sampled at q = {label.q:g}: the "
-                "radial series loses all double-precision digits"
-            )
-        if np.any(xi > limit):
-            i, j = np.unravel_index(int(np.argmax(xi)), xi.shape)
-            raise RangeError(
-                f"sample ({i}, {j}) at xi = {xi[i, j]:g} exceeds the supported "
-                f"radial range {limit:g} for q = {label.q:g}; shrink the grid "
-                "or increase f"
-            )
-        vals = _mathieu_field(label, X, Y, z)
-        family = f"mathieu-{label.parity}"
-    else:
-        raise TypeError(f"unsupported wave label {type(label).__name__}")
-
+    vals = label.field(X, Y, z)
     if description is None:
-        description = f"{family} wave sample"
+        description = f"{label.family} wave sample"
     meta = GridMeta(k=label.k, theta=label.theta, z_plane=float(z), description=description)
     return FieldGrid(nx, ny, float(dx), float(dy), float(x0), float(y0), vals, meta)

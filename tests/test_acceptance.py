@@ -14,7 +14,7 @@ from wavemom import fieldio
 from wavemom.errors import FormatError
 from wavemom.momenta import grid_mean, mean_charge, oam_mathieu_paper
 from wavemom.spectral import (
-    analytic_ft_mathieu,
+    analytic_ring,
     bessel_coeffs_of_mathieu,
     oam_spectrum,
     parseval_residual,
@@ -130,7 +130,7 @@ def test_criterion_4_plancherel_verification():
         label = _mathieu_label(parity, n, q)
         eig = mathieu_eigen(parity, n, label.q)
         _, two = bessel_coeffs_of_mathieu(eig, label.k, label.theta)
-        spec = oam_spectrum(analytic_ft_mathieu(label, 1024), two.n_min, two.n_max)
+        spec = oam_spectrum(analytic_ring(label, 1024), two.n_min, two.n_max)
         dev = np.abs(spec.coeffs - two.coeffs).max()
         worst = max(worst, float(dev))
         assert dev <= 1e-8

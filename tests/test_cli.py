@@ -157,14 +157,41 @@ def test_io_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_help_lists_flags(capsys):
+def _help_text(command, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["gen", "--help"])
+        main([command, "--help"])
     assert exc.value.code == 0
-    text = capsys.readouterr().out
+    return capsys.readouterr().out
+
+
+def test_help_lists_flags(capsys):
+    text = _help_text("gen", capsys)
     for flag in ("--family", "--k", "--theta", "--phi", "--n", "--f", "--grid",
                  "--dx", "--dy", "--origin", "--z", "--out", "--degrees"):
         assert flag in text
+    shared = ("--in", "--in-format", "--k", "--theta", "--ring-samples",
+              "--n-range", "--window")
+    text = _help_text("spectrum", capsys)
+    for flag in shared + ("--out-ring", "--out-oam", "--out-summary"):
+        assert flag in text
+    text = _help_text("momenta", capsys)
+    for flag in shared + ("--methods", "--f", "--parity", "--n", "--q", "--out"):
+        assert flag in text
+
+
+@pytest.mark.parametrize("key,value", [("k", "abc"), ("k", -6.28), ("theta", 0),
+                                       ("z_plane", "x")])
+def test_bad_header_values_exit_3(tmp_path, capsys, key, value):
+    path = tmp_path / "field.hwmf"
+    assert run(["gen", "--family", "plane", "--k", 1.0, "--theta", 0.5,
+                "--grid", "16,16", "--out", path]) == 0
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header[key] = value
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+    assert run(["spectrum", "--in", path]) == 3
+    assert run(["momenta", "--in", path]) == 3
+    assert "header" in capsys.readouterr().err
 
 
 def test_console_script_runs():

@@ -10,9 +10,8 @@ from wavemom.fieldio import (
     read_field_csv,
     write_field,
     write_field_csv,
+    report_json_str,
     write_oam_csv,
-    write_oam_json,
-    write_report_json,
     write_ring_csv,
 )
 from wavemom.momenta import MomentumReport
@@ -95,6 +94,27 @@ def test_non_finite_payload_rejected(tmp_path):
         read_field(path)
 
 
+def _set_header(path, key, value):
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header[key] = value
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("k", "abc", "header"),
+    ("k", -6.28, "wavenumber k"),
+    ("theta", 0, "cone angle theta"),
+    ("z_plane", "x", "header"),
+])
+def test_bad_header_values_rejected(tmp_path, key, value, message):
+    path = tmp_path / "field.hwmf"
+    write_field(random_grid(), path)
+    _set_header(path, key, value)
+    with pytest.raises(FormatError, match=message):
+        read_field(path)
+
+
 def test_missing_header_newline(tmp_path):
     path = tmp_path / "field.hwmf"
     path.write_bytes(b"{}" * 10)
@@ -149,6 +169,19 @@ def test_csv_duplicate_node_rejected(tmp_path):
         read_field_csv(path)
 
 
+def test_csv_non_finite_names_line(tmp_path):
+    g = random_grid(seed=7, nx=16, ny=16)
+    path = tmp_path / "field.csv"
+    write_field_csv(g, path)
+    lines = path.read_text().splitlines()
+    x, y, re, im = lines[5].split(",")
+    lines[5] = f"{x},{y},nan,{im}"
+    lines.insert(3, "")  # blank lines still count towards the line number
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=r"field\.csv:7: non-finite value"):
+        read_field_csv(path)
+
+
 def test_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "field.csv"
     path.write_text("x,y,re,im\n0,0,1\n")
@@ -175,20 +208,12 @@ def test_spectrum_writers(tmp_path):
     n, re, im, abs2 = lines[5].split(",")
     assert n == "2" and float(abs2) == abs(0.5 - 0.5j) ** 2
 
-    json_path = tmp_path / "oam.json"
-    write_oam_json(spec, json_path)
-    blob = json.loads(json_path.read_text())
-    assert blob["n_min"] == -2 and len(blob["coeffs"]) == 5
-    assert blob["norm"] == pytest.approx(spec.norm)
 
-
-def test_report_writer(tmp_path):
+def test_report_writer():
     rep = MomentumReport(mean_lz=2.0, mean_px=0.1, mean_py=-0.2, mean_pz=0.9,
                          elliptic_invariant=None, method="spectral",
                          norm_used=1.25, window="hann", notes="")
-    path = tmp_path / "report.json"
-    write_report_json([rep], path)
-    blob = json.loads(path.read_text())
+    blob = json.loads(report_json_str([rep]))
     assert isinstance(blob, list) and len(blob) == 1
     assert set(blob[0]) == {"mean_lz", "mean_px", "mean_py", "mean_pz",
                             "elliptic_invariant", "method", "norm_used",

@@ -266,20 +266,20 @@ def test_report_entries_and_tags():
     assert paper.mean_lz == pytest.approx(oam_mathieu_paper("even", 2, label.q))
     assert paper.mean_px == 0.0 and paper.mean_py == 0.0
     for r in reports:
-        d = r.as_dict()
+        d = dataclasses.asdict(r)
         assert set(d) == {"mean_lz", "mean_px", "mean_py", "mean_pz",
                           "elliptic_invariant", "method", "norm_used",
                           "window", "notes"}
 
 
 def test_ring_transverse_means_analytic_profiles():
-    from wavemom.spectral import analytic_ft_bessel, analytic_ft_plane
+    from wavemom.spectral import analytic_ring
     label = PlaneWave(K, 0.5, 1.1)
-    px, py = ring_transverse_means(analytic_ft_plane(label))
+    px, py = ring_transverse_means(analytic_ring(label))
     node = 2.0 * math.pi / 1024  # delta sits on the nearest azimuth node
     assert px == pytest.approx(math.sin(0.5) * math.cos(1.1), abs=node)
     assert py == pytest.approx(math.sin(0.5) * math.sin(1.1), abs=node)
-    px, py = ring_transverse_means(analytic_ft_bessel(BesselWave(K, 0.5, 3)))
+    px, py = ring_transverse_means(analytic_ring(BesselWave(K, 0.5, 3)))
     assert abs(px) < 1e-12 and abs(py) < 1e-12
 
 

@@ -9,9 +9,7 @@ from scipy import special
 from wavemom.errors import RangeError
 from wavemom.spectral import (
     RingSpectrum,
-    analytic_ft_bessel,
-    analytic_ft_mathieu,
-    analytic_ft_plane,
+    analytic_ring,
     bessel_coeffs_of_mathieu,
     oam_spectrum,
     parseval_norm,
@@ -163,13 +161,13 @@ def test_ring_extraction_is_reproducible():
 def test_plane_delta_node_wraps_at_pi():
     # azimuths just below +pi round onto the -pi node
     w = PlaneWave(K, 0.5, math.pi - 1e-9)
-    ring = analytic_ft_plane(w, M)
+    ring = analytic_ring(w, M)
     assert int(np.flatnonzero(ring.samples)[0]) == 0  # phi_0 = -pi
 
 
 def test_plane_profile_is_regularised_delta():
     w = PlaneWave(K, 0.5, 0.7)
-    ring = analytic_ft_plane(w, M)
+    ring = analytic_ring(w, M)
     nz = np.flatnonzero(ring.samples)
     assert len(nz) == 1
     node = PHI[nz[0]]
@@ -183,9 +181,9 @@ def test_plane_profile_is_regularised_delta():
 
 
 def test_bessel_profile_structure():
-    flat = analytic_ft_bessel(BesselWave(K, 0.5, 0), M)
+    flat = analytic_ring(BesselWave(K, 0.5, 0), M)
     assert np.allclose(flat.samples, flat.samples[0])
-    one = analytic_ft_bessel(BesselWave(K, 0.5, 1), M)
+    one = analytic_ring(BesselWave(K, 0.5, 1), M)
     at0 = one.samples[np.argmin(np.abs(PHI))]
     atpi = one.samples[0]  # phi_0 = -pi
     assert atpi == pytest.approx(-at0, rel=1e-9)
@@ -193,7 +191,7 @@ def test_bessel_profile_structure():
 
 @pytest.mark.parametrize("n", [-40, -7, 0, 3, 40])
 def test_bessel_profile_round_trip(n):
-    ring = analytic_ft_bessel(BesselWave(K, 0.4, n), M)
+    ring = analytic_ring(BesselWave(K, 0.4, n), M)
     spec = oam_spectrum(ring, -40, 40)
     mags = np.abs(spec.coeffs)
     hit = spec.coeff(n)
@@ -205,7 +203,7 @@ def test_bessel_profile_round_trip(n):
 def test_mathieu_profile_values():
     from wavemom.specfun import mathieu_se
     label = mathieu_label("odd", 2, q=1.0)
-    ring = analytic_ft_mathieu(label, M)
+    ring = analytic_ring(label, M)
     expected = mathieu_se(2, label.q, PHI) / math.sqrt(math.pi * math.sin(label.theta))
     assert_allclose(ring.samples, expected, atol=1e-14)
 
@@ -321,7 +319,7 @@ def test_two_sided_matches_charge_projection(parity, n):
     label = mathieu_label(parity, n, q=1.0)
     eig = mathieu_eigen(parity, n, label.q)
     _, two = bessel_coeffs_of_mathieu(eig, label.k, label.theta)
-    spec = oam_spectrum(analytic_ft_mathieu(label, M), two.n_min, two.n_max)
+    spec = oam_spectrum(analytic_ring(label, M), two.n_min, two.n_max)
     assert_allclose(spec.coeffs, two.coeffs, atol=1e-8, rtol=0)
 
 
@@ -337,7 +335,6 @@ def test_wave_equals_charge_superposition(parity, n):
     _, two = bessel_coeffs_of_mathieu(eig, label.k, label.theta)
     scale = (math.sqrt(math.sin(label.theta)) * (-1j) ** (n % 2)
              * cn * cn / math.sqrt(2.0))
-    from wavemom.waves import eval_mathieu_wave
     rng = np.random.default_rng(11)
     for _ in range(4):
         r = rng.uniform(0.3, 2.0) * label.f
@@ -349,7 +346,7 @@ def test_wave_equals_charge_superposition(parity, n):
                 continue
             acc += (c * (1j ** (int(charge) % 4)) * special.jv(int(charge), kt * r)
                     * cmath.exp(1j * charge * ph))
-        lhs = eval_mathieu_wave(label, (x, y, 0.0))
+        lhs = label.field(x, y, 0.0)
         assert lhs == pytest.approx(scale * acc, rel=2e-8, abs=1e-10)
 
 
