@@ -10,12 +10,11 @@ doubles exactly.
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 
-from .errors import FormatError
-from .waves import FieldGrid, GridMeta, Wave
+from .errors import FormatError, RangeError
+from .waves import FieldGrid, GridMeta
 
 MAGIC = "HWMF1"
 _HEADER_LIMIT = 1 << 16
@@ -65,11 +64,10 @@ def read_field(path):
         nx, ny = int(header["nx"]), int(header["ny"])
         dx, dy = float(header["dx"]), float(header["dy"])
         x0, y0 = float(header["x0"]), float(header["y0"])
-        k = None if header.get("k") is None else float(header["k"])
-        theta = None if header.get("theta") is None else float(header["theta"])
-        z_plane = float(header.get("z_plane", 0.0))
-        # either cone label may be null; one that is given must be valid
-        Wave.check_cone(1.0 if k is None else k, math.pi / 2 if theta is None else theta)
+        meta = GridMeta(k=None if header.get("k") is None else float(header["k"]),
+                        theta=None if header.get("theta") is None else float(header["theta"]),
+                        z_plane=float(header.get("z_plane", 0.0)),
+                        description=str(header.get("description", "")))
     except (KeyError, TypeError, ValueError) as exc:  # RangeError is a ValueError
         raise FormatError(f"{path}: incomplete or invalid header: {exc}") from exc
 
@@ -93,9 +91,10 @@ def read_field(path):
             f"{path}: non-finite sample at index {bad} "
             f"(byte offset {payload_start + 16 * bad})"
         )
-    meta = GridMeta(k=k, theta=theta, z_plane=z_plane,
-                    description=str(header.get("description", "")))
-    return FieldGrid(nx, ny, dx, dy, x0, y0, values.astype(np.complex128), meta)
+    try:  # the payload is checked above, so only the header geometry can fail here
+        return FieldGrid(nx, ny, dx, dy, x0, y0, values.astype(np.complex128), meta)
+    except RangeError as exc:
+        raise FormatError(f"{path}: incomplete or invalid header: {exc}") from exc
 
 
 def write_field_csv(fieldgrid, path):
@@ -128,6 +127,7 @@ def read_field_csv(path, k=None, theta=None, z_plane=0.0, description=""):
     nodes are format errors naming the first offending node.  Wave
     metadata is not stored in CSV, so k and theta may be supplied here.
     """
+    meta = GridMeta(k=k, theta=theta, z_plane=z_plane, description=description)
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -176,7 +176,6 @@ def read_field_csv(path, k=None, theta=None, z_plane=0.0, description=""):
             f"{path}: incomplete lattice, first missing node at "
             f"({xs[0] + j * dx:g}, {ys[0] + i * dy:g})"
         )
-    meta = GridMeta(k=k, theta=theta, z_plane=z_plane, description=description)
     return FieldGrid(nx, ny, dx, dy, float(xs[0]), float(ys[0]), values, meta)
 
 

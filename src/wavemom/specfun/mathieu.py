@@ -160,9 +160,7 @@ def _solve(mcls, n, q, size):
 
 
 @lru_cache(maxsize=512)
-def _eigen_cached(parity, n, q_key):
-    q = q_key
-    mcls = MathieuClass.from_order(parity, n)
+def _eigen_cached(mcls, n, q):
     size = max(32, 2 * n + math.ceil(2.0 * math.sqrt(q)) + 25)
     while True:
         a, vec, d, e = _solve(mcls, n, q, size)
@@ -171,7 +169,7 @@ def _eigen_cached(parity, n, q_key):
         if size >= _N_CAP:
             raise NumericalError(
                 f"coefficient tail not converged at matrix size {_N_CAP} "
-                f"for {parity} n={n} q={q}"
+                f"for {mcls.parity} n={n} q={q}"
             )
         size = min(2 * size, _N_CAP)
 
@@ -201,50 +199,50 @@ def mathieu_eigen(parity, n, q):
     """Characteristic value a_n(q)/b_n(q) and expansion coefficients.
 
     The eigenpair is selected by eigenvalue rank within the symmetry class
-    of (parity, n).  Results are cached on (parity, n, q) with q rounded at
-    the 1e-12 level; the cache is safe for concurrent readers.
+    of (parity, n).  Results are cached on (parity, n, q) with the exact
+    float q; the cache is safe for concurrent readers.
     """
-    MathieuClass.from_order(parity, n)  # validates parity and order
+    mcls = MathieuClass.from_order(parity, n)  # validates parity and order
     q = float(q)
     if not math.isfinite(q) or q < 0.0:
         raise RangeError(f"separation parameter q must be finite and >= 0, got {q}")
     if q > MAX_Q:
         raise RangeError(f"q = {q:g} exceeds supported maximum {MAX_Q:g}")
-    return _eigen_cached(parity, int(n), round(q, 12))
+    return _eigen_cached(mcls, int(n), q)
 
 
-def _as_batch(u):
-    arr = np.asarray(u, dtype=float)
-    return arr.reshape(-1), arr.shape, np.ndim(u) == 0
+def _series(harmonics, coeffs, u, term):
+    """sum_j coeffs[j] * term(h_j, h_j * u), added one harmonic at a time in index order.
+
+    A scalar u gives a float and an array u an array of its shape; the
+    working memory is a few arrays the size of u, whatever the number of
+    harmonics.
+    """
+    u = np.asarray(u, dtype=float)
+    acc = np.zeros(u.shape)
+    for h, c in zip(harmonics.astype(float), coeffs):
+        acc += c * term(h, h * u)
+    return float(acc) if acc.ndim == 0 else acc
 
 
 def mathieu_ce(n, q, eta):
     """Even (cosine-series) angular Mathieu function ce_n(eta; q)."""
     eig = mathieu_eigen("even", n, q)
-    flat, shape, scalar = _as_batch(eta)
-    vals = np.cos(np.outer(flat, eig.harmonics)) @ eig.coeffs
-    return float(vals[0]) if scalar else vals.reshape(shape)
+    return _series(eig.harmonics, eig.coeffs, eta, lambda h, arg: np.cos(arg))
 
 
 def mathieu_se(n, q, eta):
     """Odd (sine-series) angular Mathieu function se_n(eta; q)."""
     eig = mathieu_eigen("odd", n, q)
-    flat, shape, scalar = _as_batch(eta)
-    vals = np.sin(np.outer(flat, eig.harmonics)) @ eig.coeffs
-    return float(vals[0]) if scalar else vals.reshape(shape)
+    return _series(eig.harmonics, eig.coeffs, eta, lambda h, arg: np.sin(arg))
 
 
 def mathieu_angular_derivative(parity, n, q, eta):
     """First derivative of ce_n or se_n, term-by-term on the series."""
     eig = mathieu_eigen(parity, n, q)
-    flat, shape, scalar = _as_batch(eta)
-    h = eig.harmonics.astype(float)
-    args = np.outer(flat, h)
     if parity == "even":
-        vals = -(np.sin(args) * h) @ eig.coeffs
-    else:
-        vals = (np.cos(args) * h) @ eig.coeffs
-    return float(vals[0]) if scalar else vals.reshape(shape)
+        return _series(eig.harmonics, eig.coeffs, eta, lambda h, arg: -h * np.sin(arg))
+    return _series(eig.harmonics, eig.coeffs, eta, lambda h, arg: h * np.cos(arg))
 
 
 def radial_xi_max(q):
@@ -267,8 +265,8 @@ def radial_xi_max(q):
 
 def _radial(parity, n, q, xi):
     eig = mathieu_eigen(parity, n, q)
-    flat, shape, scalar = _as_batch(xi)
-    if np.any(flat < 0.0):
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi < 0.0):
         raise RangeError("radial coordinate xi must be >= 0")
     limit = radial_xi_max(q)
     if limit < 0.0:
@@ -276,13 +274,16 @@ def _radial(parity, n, q, xi):
             f"hyperbolic radial series is unusable at q = {q:g} "
             "(cancellation exceeds double precision at every xi)"
         )
-    if np.any(flat > limit):
+    beyond = xi > limit
+    if beyond.any():
+        index = np.unravel_index(int(np.argmax(beyond)), xi.shape)
+        where = f" at sample {tuple(map(int, index))}" if index else ""
         raise RangeError(
-            f"xi = {flat.max():g} beyond supported radial range {limit:g} "
+            f"xi = {xi[index]:g}{where} beyond supported radial range {limit:g} "
             f"at q = {q:g} (series conditioning)"
         )
     h = eig.harmonics.astype(float)
-    xmax = flat.max() if len(flat) else 0.0
+    xmax = xi.max() if xi.size else 0.0
     with np.errstate(divide="ignore"):
         bound = np.log(np.abs(eig.coeffs)) + h * xmax   # cosh z <= e^z
     top = bound.max()
@@ -292,10 +293,8 @@ def _radial(parity, n, q, xi):
             f"for order {n}"
         )
     keep = bound >= top - 46.0
-    args = np.outer(flat, h[keep])
-    hyp = np.cosh(args) if parity == "even" else np.sinh(args)
-    vals = hyp @ eig.coeffs[keep]
-    return float(vals[0]) if scalar else vals.reshape(shape)
+    hyp = np.cosh if parity == "even" else np.sinh
+    return _series(h[keep], eig.coeffs[keep], xi, lambda h, arg: hyp(arg))
 
 
 def mathieu_ce_radial(n, q, xi):
@@ -317,33 +316,26 @@ def mathieu_norm_constant(parity, n, q):
     parity) form additionally needs a nonzero constant-term coefficient.
     Finite and nonzero within the supported range for q > 0.
     """
-    mcls = MathieuClass.from_order(parity, n)
-    q = float(q)
-    if q < 0.0:
-        raise RangeError(f"q must be >= 0, got {q}")
     eig = mathieu_eigen(parity, n, q)
+    q = eig.q
+    lead = float(eig.coeffs[0])  # A_0, A_1, B_1 or B_2: the lowest harmonic of the class
     if parity == "even" and n % 2 == 0:
-        a0 = eig.coeff_for_harmonic(0)
-        if a0 == 0.0:
+        if lead == 0.0:
             raise DomainError(
                 f"constant-term coefficient vanishes for even n={n} at q={q:g}; "
                 "the closed form diverges, take the q -> 0 limit instead"
             )
-        return mathieu_ce(n, q, 0.0) * mathieu_ce(n, q, math.pi / 2) / a0
+        return mathieu_ce(n, q, 0.0) * mathieu_ce(n, q, math.pi / 2) / lead
     if q == 0.0:
         raise DomainError(
             f"normalisation constant for {parity} n={n} carries a 1/sqrt(q) "
             "factor; evaluate at small q > 0 for the limit"
         )
     if parity == "even":
-        a1 = eig.coeff_for_harmonic(1)
         d_half = mathieu_angular_derivative("even", n, q, math.pi / 2)
-        return -mathieu_ce(n, q, 0.0) * d_half / (math.sqrt(q) * a1)
-    if n % 2 == 1:
-        b1 = eig.coeff_for_harmonic(1)
-        d_zero = mathieu_angular_derivative("odd", n, q, 0.0)
-        return d_zero * mathieu_se(n, q, math.pi / 2) / (math.sqrt(q) * b1)
-    b2 = eig.coeff_for_harmonic(2)
+        return -mathieu_ce(n, q, 0.0) * d_half / (math.sqrt(q) * lead)
     d_zero = mathieu_angular_derivative("odd", n, q, 0.0)
+    if n % 2 == 1:
+        return d_zero * mathieu_se(n, q, math.pi / 2) / (math.sqrt(q) * lead)
     d_half = mathieu_angular_derivative("odd", n, q, math.pi / 2)
-    return d_zero * d_half / (q * b2)
+    return d_zero * d_half / (q * lead)

@@ -13,17 +13,16 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import special
 
 from .errors import RangeError, UsageError
 from .specfun import (
     MathieuClass,
+    bessel_j,
     mathieu_ce,
     mathieu_ce_radial,
     mathieu_norm_constant,
     mathieu_se,
     mathieu_se_radial,
-    radial_xi_max,
 )
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**n without pow() rounding
@@ -114,7 +113,7 @@ class BesselWave(Wave):
         r = np.hypot(x, y)
         phi = np.arctan2(y, x)
         amp = _I_POW[self.n % 4] * math.sqrt(2.0 * math.pi * math.sin(self.theta))
-        return amp * special.jv(self.n, self.kt * r) * np.exp(1j * (self.n * phi + self.kz * z))
+        return amp * bessel_j(self.n, self.kt * r) * np.exp(1j * (self.n * phi + self.kz * z))
 
     def ring_profile(self, phi):
         """(2 pi sin theta)^{-1/2} e^{i n phi}."""
@@ -155,22 +154,9 @@ class MathieuWave(Wave):
         """
         xi, eta = elliptic_coords(x, y, self.f)
         q = self.q
-        limit = radial_xi_max(q)
-        if limit < 0.0:
-            raise RangeError(
-                f"elliptic waves cannot be sampled at q = {q:g}: the "
-                "radial series loses all double-precision digits"
-            )
-        if np.any(xi > limit):
-            index = np.unravel_index(int(np.argmax(xi)), np.shape(xi))
-            raise RangeError(
-                f"sample {tuple(map(int, index))} at xi = {np.max(xi):g} exceeds the supported "
-                f"radial range {limit:g} for q = {q:g}; shrink the grid "
-                "or increase f"
-            )
-        cn = mathieu_norm_constant(self.parity, self.n, q)
         radial = mathieu_ce_radial if self.parity == "even" else mathieu_se_radial
         rad = radial(self.n, q, xi)
+        cn = mathieu_norm_constant(self.parity, self.n, q)
         ang = self._angular(eta)
         carrier = np.exp(1j * self.kz * np.asarray(z, dtype=float))
         return math.sqrt(math.sin(self.theta)) * cn * rad * ang * carrier
@@ -216,6 +202,13 @@ class GridMeta:
     z_plane: float = 0.0
     description: str = ""
 
+    def __post_init__(self):
+        # either cone label may be absent; one that is given must be valid
+        Wave.check_cone(1.0 if self.k is None else self.k,
+                        math.pi / 2 if self.theta is None else self.theta)
+        if not math.isfinite(self.z_plane):
+            raise RangeError(f"slice plane z must be finite, got {self.z_plane}")
+
 
 @dataclass
 class FieldGrid:
@@ -239,6 +232,8 @@ class FieldGrid:
             raise RangeError(f"grid must be at least 16x16, got {self.nx}x{self.ny}")
         if not (self.dx > 0.0 and self.dy > 0.0):
             raise RangeError("grid spacings must be positive")
+        if not all(map(math.isfinite, (self.dx, self.dy, self.x0, self.y0))):
+            raise RangeError("grid origin and spacings must be finite")
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.ny, self.nx):
             raise RangeError(
@@ -290,9 +285,9 @@ def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None
         y0 = -0.5 * (ny - 1) * dy
     x = x0 + dx * np.arange(nx)
     y = y0 + dy * np.arange(ny)
-    X, Y = np.meshgrid(x, y)
-    vals = label.field(X, Y, z)
     if description is None:
         description = f"{label.family} wave sample"
     meta = GridMeta(k=label.k, theta=label.theta, z_plane=float(z), description=description)
+    X, Y = np.meshgrid(x, y)
+    vals = label.field(X, Y, z)
     return FieldGrid(nx, ny, float(dx), float(dy), float(x0), float(y0), vals, meta)

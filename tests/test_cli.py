@@ -146,6 +146,9 @@ def test_range_errors_exit_2(tmp_path, capsys):
     assert run(["gen", "--family", "plane", "--k", 1.0, "--theta", math.pi / 2,
                 "--grid", "16,16", "--dx", math.pi, "--out", out]) == 0
     assert run(["spectrum", "--in", out]) == 2
+    # Bessel orders beyond bessel_j's supported |n| <= 200
+    assert run(["gen", "--family", "bessel", "--k", 1.0, "--theta", 0.5, "--n", 201,
+                "--grid", "16,16", "--out", tmp_path / "b"]) == 2
     capsys.readouterr()
 
 
@@ -180,7 +183,8 @@ def test_help_lists_flags(capsys):
 
 
 @pytest.mark.parametrize("key,value", [("k", "abc"), ("k", -6.28), ("theta", 0),
-                                       ("z_plane", "x")])
+                                       ("z_plane", "x"), ("z_plane", math.nan),
+                                       ("dx", -1.0), ("dx", math.nan), ("x0", math.inf)])
 def test_bad_header_values_exit_3(tmp_path, capsys, key, value):
     path = tmp_path / "field.hwmf"
     assert run(["gen", "--family", "plane", "--k", 1.0, "--theta", 0.5,
@@ -216,3 +220,7 @@ def test_csv_ingestion_path(tmp_path):
     assert entry["mean_lz"] == pytest.approx(1.0, abs=1e-3)
     # csv input without cone metadata cannot be decomposed
     assert run(["spectrum", "--in", csv_path, "--in-format", "csv"]) == 2
+    # off-cone metadata is refused as it is for gen
+    for k, theta in ((-6.28, THETA), (K, 0)):
+        assert run(["momenta", "--in", csv_path, "--in-format", "csv", "--k", k,
+                    "--theta", theta, "--methods", "spectral"]) == 2

@@ -106,6 +106,10 @@ def _set_header(path, key, value):
     ("k", -6.28, "wavenumber k"),
     ("theta", 0, "cone angle theta"),
     ("z_plane", "x", "header"),
+    ("z_plane", math.nan, "header: slice plane z must be finite"),
+    ("dx", -1.0, "header: grid spacings must be positive"),
+    ("dx", math.nan, "header: grid spacings must be positive"),
+    ("x0", math.inf, "header: grid origin and spacings must be finite"),
 ])
 def test_bad_header_values_rejected(tmp_path, key, value, message):
     path = tmp_path / "field.hwmf"

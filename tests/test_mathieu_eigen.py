@@ -136,7 +136,9 @@ def test_class_validation():
 
 def test_cache_rounding_and_concurrency():
     base = mathieu_eigen("even", 2, 1.0)
-    assert mathieu_eigen("even", 2, 1.0 + 4e-13) is base  # below the 1e-12 key grain
+    assert mathieu_eigen("even", 2, 1.0) is base
+    near = mathieu_eigen("even", 2, 1.0 + 4e-13)  # the key is the exact float q
+    assert near is not base and near.q == 1.0 + 4e-13
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: mathieu_eigen("odd", 3, 2.5), range(64)))
     assert all(r is results[0] for r in results)

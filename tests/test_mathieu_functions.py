@@ -138,6 +138,32 @@ def test_derivative_matches_scipy():
                                      rel=1e-9, abs=1e-10)
 
 
+# ------------------------------------------------------ series contract
+
+XI_CAP = radial_xi_max(2.0)
+
+
+@pytest.mark.parametrize("fn,radial", [
+    (lambda u: mathieu_ce(3, 2.0, u), False),
+    (lambda u: mathieu_se(3, 2.0, u), False),
+    (lambda u: mathieu_angular_derivative("even", 3, 2.0, u), False),
+    (lambda u: mathieu_angular_derivative("odd", 3, 2.0, u), False),
+    (lambda u: mathieu_ce_radial(3, 2.0, u), True),
+    (lambda u: mathieu_se_radial(3, 2.0, u), True),
+], ids=["ce", "se", "ce-derivative", "se-derivative", "ce-radial", "se-radial"])
+def test_series_evaluator_contract(fn, radial):
+    top = 0.95 * XI_CAP if radial else 4.0
+    u = np.linspace(0.0 if radial else -top, top, 35).reshape(5, 7)
+    assert isinstance(fn(0.3), float)
+    vals = fn(u)
+    assert vals.shape == u.shape
+    assert np.array_equal(vals, [[fn(float(v)) for v in row] for row in u])
+    if radial:
+        u[3, 2] = XI_CAP + 0.1
+        with pytest.raises(RangeError, match=r"sample \(3, 2\)"):
+            fn(u)
+
+
 # ------------------------------------------------------------- radial
 
 def test_radial_q_to_zero_limit():
@@ -245,3 +271,10 @@ def test_norm_constant_domain_errors():
     with pytest.raises(DomainError):
         mathieu_norm_constant("even", 4, 0.0)  # constant-term coefficient is 0
     assert mathieu_norm_constant("even", 0, 0.0) == pytest.approx(1 / math.sqrt(2))
+
+
+def test_norm_constant_at_tiny_q():
+    # q is solved at its own value, not rounded to 0, so A_0 ~ q / 4 is nonzero
+    assert mathieu_eigen("even", 2, 4e-13).q == 4e-13
+    c2 = mathieu_norm_constant("even", 2, 4e-13)
+    assert math.isfinite(c2) and c2 != 0.0
