@@ -10,6 +10,7 @@ doubles exactly.
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 
@@ -18,10 +19,6 @@ from .waves import FieldGrid, GridMeta
 
 MAGIC = "HWMF1"
 _HEADER_LIMIT = 1 << 16
-
-
-def _fmt(v):
-    return f"{float(v):.17g}"
 
 
 def write_field(fieldgrid, path):
@@ -68,7 +65,7 @@ def read_field(path):
                         theta=None if header.get("theta") is None else float(header["theta"]),
                         z_plane=float(header.get("z_plane", 0.0)),
                         description=str(header.get("description", "")))
-    except (KeyError, TypeError, ValueError) as exc:  # RangeError is a ValueError
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # RangeError is a ValueError
         raise FormatError(f"{path}: incomplete or invalid header: {exc}") from exc
 
     payload_start = len(line)
@@ -97,16 +94,31 @@ def read_field(path):
         raise FormatError(f"{path}: incomplete or invalid header: {exc}") from exc
 
 
-def write_field_csv(fieldgrid, path):
-    """Write a field as CSV rows x,y,re,im (17 significant digits)."""
-    x = fieldgrid.x()
-    y = fieldgrid.y()
+def _fmt(values):
+    """Floats as strings with 17 significant digits, which round-trips doubles."""
+    return [f"{v:.17g}" for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _write_csv(path, header, blocks):
+    """Write a header line, then each block of equal-length string columns as rows.
+
+    Each block is joined and written with one call, so callers bound memory
+    by the block size.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,re,im\n")
-        for i in range(fieldgrid.ny):
-            for j in range(fieldgrid.nx):
-                v = fieldgrid.values[i, j]
-                fh.write(f"{_fmt(x[j])},{_fmt(y[i])},{_fmt(v.real)},{_fmt(v.imag)}\n")
+        fh.write(header + "\n")
+        for columns in blocks:
+            lines = "\n".join(map(",".join, zip(*columns)))
+            if lines:
+                fh.write(lines + "\n")
+
+
+def write_field_csv(fieldgrid, path):
+    """Write a field as CSV rows x,y,re,im (17 significant digits), one grid row per block."""
+    xs, nx = _fmt(fieldgrid.x()), fieldgrid.nx
+    blocks = ((xs, [y] * nx, _fmt(row.real), _fmt(row.imag))
+              for y, row in zip(_fmt(fieldgrid.y()), fieldgrid.values))
+    _write_csv(path, "x,y,re,im", blocks)
 
 
 def _lattice_axis(coords, path, name):
@@ -120,16 +132,15 @@ def _lattice_axis(coords, path, name):
     return axis, float(step)
 
 
-def read_field_csv(path, k=None, theta=None, z_plane=0.0, description=""):
-    """Read a complete rectangular x,y,re,im lattice (any row order).
+def _scan_rows(path):
+    """Parse the data rows line by line; each error names its file line.
 
-    Grid geometry is inferred from the coordinates; gaps or duplicate
-    nodes are format errors naming the first offending node.  Wave
-    metadata is not stored in CSV, so k and theta may be supplied here.
+    This is the reference parser: it runs whenever the bulk parse refuses
+    the file or finds a non-finite value, and it accepts every input that
+    Python's float() does (blank and whitespace-only lines are skipped).
     """
-    meta = GridMeta(k=k, theta=theta, z_plane=z_plane, description=description)
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    rows, linenos = [], []
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -143,57 +154,97 @@ def read_field_csv(path, k=None, theta=None, z_plane=0.0, description=""):
                 rows.append(tuple(float(p) for p in parts))
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: unparseable number: {exc}") from exc
+            linenos.append(lineno)
     if not rows:
         raise FormatError(f"{path}: no data rows")
-
     data = np.asarray(rows, dtype=float)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
-        # rows are the file's non-blank lines after the header, if any
-        with open(path, "r", encoding="utf-8") as fh:
-            linenos = [n for n, line in enumerate(fh, 1) if line.strip()]
-        lineno = linenos[len(linenos) - len(rows) + int(np.argmin(finite))]
-        raise FormatError(f"{path}:{lineno}: non-finite value")
-    xs, dx = _lattice_axis(data[:, 0], path, "x")
-    ys, dy = _lattice_axis(data[:, 1], path, "y")
+        raise FormatError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
+    return data
+
+
+def _load_rows(path):
+    """All data rows as an (n, 4) float array, parsed in one numpy pass when possible."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        header = fh.readline().split(",")[0].strip().lower() == "x"
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file with no rows
+            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                              skiprows=int(header), encoding="utf-8")
+    except ValueError:  # ragged rows, bad tokens, whitespace-only lines, invalid UTF-8
+        return _scan_rows(path)
+    if data.shape[0] == 0 or data.shape[1] != 4 or not np.isfinite(data).all():
+        return _scan_rows(path)
+    return data
+
+
+def _first(mask):
+    """Index of the first True entry of a boolean array, or None."""
+    return int(np.argmax(mask)) if mask.any() else None
+
+
+def read_field_csv(path, k=None, theta=None, z_plane=0.0, description=""):
+    """Read a complete rectangular x,y,re,im lattice (any row order).
+
+    Grid geometry is inferred from the coordinates; a row off the lattice
+    or on a node already seen is a format error naming the first such row
+    in file order, and a gap names the first missing node.  Wave metadata
+    is not stored in CSV, so k and theta may be supplied here.
+    """
+    meta = GridMeta(k=k, theta=theta, z_plane=z_plane, description=description)
+    data = _load_rows(path)
+    x, y = data[:, 0], data[:, 1]
+    xs, dx = _lattice_axis(x, path, "x")
+    ys, dy = _lattice_axis(y, path, "y")
     nx, ny = len(xs), len(ys)
 
-    values = np.full((ny, nx), np.nan, dtype=np.complex128)
-    seen = np.zeros((ny, nx), dtype=bool)
-    for xv, yv, re, im in rows:
-        j = int(round((xv - xs[0]) / dx))
-        i = int(round((yv - ys[0]) / dy))
-        if not (0 <= j < nx and 0 <= i < ny) or abs(xs[0] + j * dx - xv) > 1e-6 * dx \
-                or abs(ys[0] + i * dy - yv) > 1e-6 * dy:
-            raise FormatError(f"{path}: point ({xv:g}, {yv:g}) is off the inferred lattice")
-        if seen[i, j]:
-            raise FormatError(f"{path}: duplicate node at ({xv:g}, {yv:g})")
-        seen[i, j] = True
-        values[i, j] = re + 1j * im
-    if not seen.all():
-        i, j = np.unravel_index(int(np.flatnonzero(~seen.ravel())[0]), seen.shape)
+    j = np.rint((x - xs[0]) / dx)
+    i = np.rint((y - ys[0]) / dy)
+    off = ((j < 0) | (j >= nx) | (i < 0) | (i >= ny)
+           | (np.abs(xs[0] + j * dx - x) > 1e-6 * dx)
+           | (np.abs(ys[0] + i * dy - y) > 1e-6 * dy))
+    bad = _first(off)
+    end = len(data) if bad is None else bad  # rows before the first off-lattice one
+    flat = i[:end].astype(np.intp) * nx + j[:end].astype(np.intp)
+    # sorting, unlike counting per node, needs no nx*ny array for a lattice
+    # that the rows cannot fill (a diagonal of n rows infers an n x n grid)
+    nodes = np.sort(flat)
+    if np.any(nodes[1:] == nodes[:-1]):  # a repeat before the first off-lattice row comes first
+        repeat = np.ones(end, dtype=bool)
+        repeat[np.unique(flat, return_index=True)[1]] = False
+        bad = _first(repeat)
+        raise FormatError(f"{path}: duplicate node at ({float(x[bad]):g}, {float(y[bad]):g})")
+    if bad is not None:
+        raise FormatError(
+            f"{path}: point ({float(x[bad]):g}, {float(y[bad]):g}) is off the inferred lattice")
+    if len(nodes) < nx * ny:  # distinct in-range nodes: the first gap is where nodes[k] != k
+        gap = _first(nodes != np.arange(len(nodes)))
+        i, j = divmod(len(nodes) if gap is None else gap, nx)
         raise FormatError(
             f"{path}: incomplete lattice, first missing node at "
             f"({xs[0] + j * dx:g}, {ys[0] + i * dy:g})"
         )
-    return FieldGrid(nx, ny, dx, dy, float(xs[0]), float(ys[0]), values, meta)
+    values = np.empty(nx * ny, dtype=np.complex128)
+    values[flat] = data[:, 2] + 1j * data[:, 3]
+    try:  # the values are checked above, so only the inferred geometry can fail here
+        return FieldGrid(nx, ny, dx, dy, float(xs[0]), float(ys[0]), values.reshape(ny, nx), meta)
+    except RangeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_ring_csv(ring, path):
     """Ring profile as CSV rows phi,re,im."""
-    phi = ring.azimuths()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("phi,re,im\n")
-        for p, s in zip(phi, ring.samples):
-            fh.write(f"{_fmt(p)},{_fmt(s.real)},{_fmt(s.imag)}\n")
+    s = ring.samples
+    _write_csv(path, "phi,re,im", [(_fmt(ring.azimuths()), _fmt(s.real), _fmt(s.imag))])
 
 
 def write_oam_csv(spec, path):
     """Charge spectrum as CSV rows n,re,im,abs2."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,re,im,abs2\n")
-        for n, c in zip(spec.charges(), spec.coeffs):
-            fh.write(f"{n},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(abs(c) ** 2)}\n")
+    c = spec.coeffs
+    _write_csv(path, "n,re,im,abs2", [([str(n) for n in spec.charges()], _fmt(c.real),
+                                       _fmt(c.imag), _fmt([abs(v) ** 2 for v in c]))])
 
 
 def report_json_str(reports):

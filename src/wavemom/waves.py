@@ -227,13 +227,18 @@ class FieldGrid:
     values: np.ndarray = field(repr=False)
     meta: GridMeta = field(default_factory=GridMeta)
 
-    def __post_init__(self):
-        if self.nx < 16 or self.ny < 16:
-            raise RangeError(f"grid must be at least 16x16, got {self.nx}x{self.ny}")
-        if not (self.dx > 0.0 and self.dy > 0.0):
+    @staticmethod
+    def check_geometry(nx, ny, dx, dy, x0, y0):
+        """Raise RangeError unless the grid is at least 16x16 with finite, positive spacings."""
+        if nx < 16 or ny < 16:
+            raise RangeError(f"grid must be at least 16x16, got {nx}x{ny}")
+        if not (dx > 0.0 and dy > 0.0):
             raise RangeError("grid spacings must be positive")
-        if not all(map(math.isfinite, (self.dx, self.dy, self.x0, self.y0))):
+        if not all(map(math.isfinite, (dx, dy, x0, y0))):
             raise RangeError("grid origin and spacings must be finite")
+
+    def __post_init__(self):
+        self.check_geometry(self.nx, self.ny, self.dx, self.dy, self.x0, self.y0)
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.ny, self.nx):
             raise RangeError(
@@ -283,6 +288,7 @@ def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None
         x0 = -0.5 * (nx - 1) * dx
     if y0 is None:
         y0 = -0.5 * (ny - 1) * dy
+    FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0)  # before any sample is computed
     x = x0 + dx * np.arange(nx)
     y = y0 + dy * np.arange(ny)
     if description is None:

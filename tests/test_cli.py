@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wavemom.cli import main
 
@@ -224,3 +225,106 @@ def test_csv_ingestion_path(tmp_path):
     for k, theta in ((-6.28, THETA), (K, 0)):
         assert run(["momenta", "--in", csv_path, "--in-format", "csv", "--k", k,
                     "--theta", theta, "--methods", "spectral"]) == 2
+
+
+def test_csv_below_16x16_exits_3(tmp_path, capsys):
+    path = tmp_path / "tiny.csv"
+    path.write_text("x,y,re,im\n0,0,1,0\n1,0,1,0\n0,1,1,0\n1,1,1,0\n")
+    assert run(["momenta", "--in", path, "--in-format", "csv", "--k", K,
+                "--theta", THETA]) == 3
+    assert capsys.readouterr().err == f"error: {path}: grid must be at least 16x16, got 2x2\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--family", "mathieu-even", "--n", 2, "--f", 0.5, "--dx", "inf"],
+     "grid origin and spacings must be finite"),
+    (["--family", "bessel", "--n", 2, "--origin", "inf,0"],
+     "grid origin and spacings must be finite"),
+    (["--family", "bessel", "--n", 2, "--dx", 1e308], "grid origin and spacings must be finite"),
+    (["--family", "mathieu-odd", "--n", 1, "--f", 0.5, "--dy", 0],
+     "grid spacings must be positive"),
+])
+def test_gen_checks_geometry_before_sampling(tmp_path, capsys, flags, message):
+    assert run(["gen", "--k", K, "--theta", THETA, "--grid", "16,16", *flags,
+                "--out", tmp_path / "x.hwmf"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.hwmf").exists()
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A directory holding a 16x16 Bessel field as field.hwmf and field.csv."""
+    from wavemom.fieldio import read_field, write_field_csv
+    d = tmp_path_factory.mktemp("fuzz")
+    lam_t = 2.0 * math.pi / (K * math.sin(THETA))
+    field = d / "field.hwmf"
+    assert run(["gen", "--family", "bessel", "--k", K, "--theta", THETA, "--n", 1,
+                "--grid", "16,16", "--dx", lam_t / 4.0, "--out", field]) == 0
+    write_field_csv(read_field(field), d / "field.csv")
+    return d
+
+
+_JUNK = ["x", "", " ", "nan", "-inf", "1e999", "1e", "#", "0x1", "1_0", "\u0661", "\ufffd",
+         "1,2", "-0", "1e-320", "\udcff"]
+
+
+def _mutate_csv(lines, data):
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["drop", "duplicate", "ragged", "junk", "blank"]))
+        n = data.draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[n]
+        elif op == "duplicate":
+            lines.insert(data.draw(st.integers(0, len(lines))), lines[n])
+        elif op == "ragged":
+            cut = lines[n].rsplit(",", 1)[0]
+            lines[n] = data.draw(st.sampled_from([cut, lines[n] + ",0"]))
+        elif op == "junk":
+            parts = lines[n].split(",")
+            parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(st.sampled_from(_JUNK))
+            lines[n] = ",".join(parts)
+        else:
+            lines.insert(n, data.draw(st.sampled_from(["", "  ", "# comment"])))
+    # surrogateescape turns the junk token "\udcff" into the non-UTF-8 byte 0xff
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+
+
+_HEADER_VALUES = [None, "x", -1, 0, 1, 15, 17, 10**12, -0.0, 1e-300, 1e300, 1e308,
+                  float("nan"), float("inf"), [], {}, True]
+
+
+def _mutate_hwmf(blob, data):
+    head, payload = blob.split(b"\n", 1)
+    if data.draw(st.booleans()):
+        header = json.loads(head)
+        key = data.draw(st.sampled_from(sorted(header) + ["extra"]))
+        if data.draw(st.booleans()):
+            header.pop(key, None)
+        else:
+            header[key] = data.draw(st.sampled_from(_HEADER_VALUES))
+        head = json.dumps(header).encode("utf-8")
+    else:
+        payload = bytearray(payload)
+        for _ in range(data.draw(st.integers(1, 4))):
+            n = data.draw(st.integers(0, len(payload) - 1))
+            payload[n] = data.draw(st.integers(0, 255))
+        cut = data.draw(st.sampled_from([None, -1, -16, 16]))
+        payload = bytes(payload) if cut is None else \
+            (payload[:cut] if cut < 0 else bytes(payload) + b"\0" * cut)
+    return head + b"\n" + payload
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_momenta_survives_mutated_inputs(small_inputs, tmp_path_factory, data):
+    blob = (small_inputs / "field.hwmf").read_bytes()
+    lines = (small_inputs / "field.csv").read_text().splitlines()
+    path = tmp_path_factory.mktemp("case") / "input"
+    if data.draw(st.booleans()):
+        path.write_bytes(_mutate_csv(lines, data))
+        fmt = ["--in-format", "csv", "--k", K, "--theta", THETA]
+    else:
+        path.write_bytes(_mutate_hwmf(blob, data))
+        fmt = []
+    assert run(["momenta", "--in", path, *fmt, "--methods", "spectral,grid"]) in (0, 2, 3)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,196 @@ def test_csv_rejects_ragged_rows(tmp_path):
     path.write_text("x,y,re,im\n0,0,1\n")
     with pytest.raises(FormatError, match="columns"):
         read_field_csv(path)
+
+
+def _csv_lines(tmp_path, seed=8, nx=16, ny=16):
+    g = random_grid(seed=seed, nx=nx, ny=ny)
+    path = tmp_path / "field.csv"
+    write_field_csv(g, path)
+    return g, path, path.read_text().splitlines()
+
+
+def _read_error(path):
+    with pytest.raises(FormatError) as exc:
+        read_field_csv(path)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("variant", ["blank", "whitespace", "crlf", "no-header"])
+def test_csv_accepted_layouts(tmp_path, variant):
+    g, path, lines = _csv_lines(tmp_path)
+    if variant == "blank":
+        lines[3:3] = ["", ""]
+        lines.append("")
+    elif variant == "whitespace":
+        lines[5:5] = ["   ", "\t \t"]
+    elif variant == "no-header":
+        lines = lines[1:]  # the first row is then data, not a header
+    newline = "\r\n" if variant == "crlf" else "\n"
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+    back = read_field_csv(path)
+    assert back.values.tobytes() == g.values.tobytes()
+    assert (back.nx, back.ny) == (g.nx, g.ny)
+
+
+def _reference_read(path):
+    """The row-at-a-time placement the bulk reader must reproduce bit for bit."""
+    rows = [tuple(float(p) for p in line.split(","))
+            for line in path.read_text().splitlines()[1:] if line.strip()]
+    xs = np.unique([r[0] for r in rows])
+    ys = np.unique([r[1] for r in rows])
+    dx, dy = float(np.median(np.diff(xs))), float(np.median(np.diff(ys)))
+    values = np.zeros((len(ys), len(xs)), dtype=np.complex128)
+    for xv, yv, re, im in rows:
+        values[int(round((yv - ys[0]) / dy)), int(round((xv - xs[0]) / dx))] = re + 1j * im
+    return values, dx, dy, float(xs[0]), float(ys[0])
+
+
+def test_csv_reader_matches_row_loop(tmp_path):
+    g = random_grid(seed=9, nx=20, ny=17)
+    g.values[0, :3] = [-0.0 - 0.0j, complex(0.0, -0.0), complex(-0.0, 5e-324)]
+    path = tmp_path / "field.csv"
+    write_field_csv(g, path)
+    lines = path.read_text().splitlines()
+    order = np.random.default_rng(1).permutation(len(lines) - 1)
+    path.write_text("\n".join(lines[:1] + [lines[i + 1] for i in order]) + "\n")
+    back = read_field_csv(path)
+    values, dx, dy, x0, y0 = _reference_read(path)
+    assert back.values.tobytes() == values.tobytes()
+    assert (back.dx, back.dy, back.x0, back.y0) == (dx, dy, x0, y0)
+
+
+def test_csv_header_only_on_line_one(tmp_path):
+    _, path, lines = _csv_lines(tmp_path)
+    path.write_text("\n" + "\n".join(lines) + "\n")
+    assert _read_error(path) == \
+        f"{path}:2: unparseable number: could not convert string to float: 'x'"
+
+
+def test_csv_ragged_row_names_line(tmp_path):
+    _, path, lines = _csv_lines(tmp_path)
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_error(path) == f"{path}:4: expected 4 columns, got 3"
+
+
+def test_csv_junk_token_names_line(tmp_path):
+    _, path, lines = _csv_lines(tmp_path)
+    x, y, re, im = lines[6].split(",")
+    lines[6] = f"{x},{y},x,{im}"
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_error(path) == \
+        f"{path}:7: unparseable number: could not convert string to float: 'x'"
+
+
+def test_csv_comment_lines_rejected(tmp_path):
+    _, path, lines = _csv_lines(tmp_path)
+    lines.insert(1, "# comment")
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_error(path) == f"{path}:2: expected 4 columns, got 1"
+
+
+def test_csv_off_lattice_message(tmp_path):
+    # a column shifted by 5e-10 passes the 1e-9 uniform-spacing check on the
+    # x axis but misses its node by more than 1e-6 * dx
+    g = FieldGrid(16, 16, 1e-4, 1e-4, 0.0, 0.0, random_grid(seed=10, nx=16, ny=16).values)
+    path = tmp_path / "field.csv"
+    write_field_csv(g, path)
+    lines = path.read_text().splitlines()
+    for n, line in enumerate(lines[1:], 1):
+        x, rest = line.split(",", 1)
+        if float(x) == g.x()[5]:
+            lines[n] = f"{float(x) + 5e-10!r},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_error(path) == f"{path}: point (0.0005, 0) is off the inferred lattice"
+
+
+def test_csv_first_duplicate_in_file_order(tmp_path):
+    _, path, lines = _csv_lines(tmp_path)
+    lines += [lines[11], lines[4]]  # node 10 repeats before node 3 does
+    path.write_text("\n".join(lines) + "\n")
+    x, y = (float(v) for v in lines[11].split(",")[:2])
+    assert _read_error(path) == f"{path}: duplicate node at ({x:g}, {y:g})"
+
+
+def test_csv_first_missing_node(tmp_path):
+    g, path, lines = _csv_lines(tmp_path)
+    body = [lines[i] for i in range(1, len(lines)) if i not in (40, 21)]
+    path.write_text("\n".join(body[::-1]) + "\n")  # node 39 is dropped first in file order
+    assert _read_error(path) == (f"{path}: incomplete lattice, first missing node at "
+                                 f"({g.x()[4]:g}, {g.y()[1]:g})")
+
+
+def test_csv_sparse_lattice_memory(tmp_path):
+    # 2048 rows on a diagonal infer a 2048 x 2048 lattice; the gap is found
+    # without an array per node (which would take tens of MB here)
+    path = tmp_path / "diagonal.csv"
+    path.write_text("".join(f"{n},{n},1,0\n" for n in range(2048)))
+    tracemalloc.start()
+    try:
+        message = _read_error(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message == f"{path}: incomplete lattice, first missing node at (1, 0)"
+    assert peak < 8 << 20
+
+
+def test_csv_non_finite_after_blank_lines(tmp_path):
+    _, path, lines = _csv_lines(tmp_path)
+    x, y, re, im = lines[8].split(",")
+    lines[8] = f"{x},{y},{re},-inf"
+    lines[2:2] = ["", "  "]
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_error(path) == f"{path}:11: non-finite value"
+    # a parse error anywhere in the file is reported before a non-finite value
+    lines.append("1,2,3")
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_error(path) == f"{path}:{len(lines)}: expected 4 columns, got 3"
+
+
+_GOLDEN = [-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, -2.5, 1e-300, 123456789.0]
+
+
+def _golden_column(n, offset):
+    return np.array([_GOLDEN[(i + offset) % len(_GOLDEN)] for i in range(n)])
+
+
+def _lines(*columns):
+    return "".join(",".join(c) + "\n" for c in zip(*columns))
+
+
+def _g17(values):
+    return [f"{float(v):.17g}" for v in values]
+
+
+def test_csv_writers_golden_bytes(tmp_path):
+    values = (_golden_column(256, 0) + 1j * _golden_column(256, 3)).reshape(16, 16)
+    grid = FieldGrid(16, 16, 0.1, 1.0 / 3.0, -0.7, 1e-300, values)
+    path = tmp_path / "field.csv"
+    write_field_csv(grid, path)
+    x, y = grid.x(), grid.y()
+    expected = "x,y,re,im\n" + _lines(
+        _g17(x[j] for i in range(16) for j in range(16)),
+        _g17(y[i] for i in range(16) for j in range(16)),
+        _g17(values.real.ravel()), _g17(values.imag.ravel()))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+    samples = _golden_column(256, 1) - 1j * _golden_column(256, 5)
+    ring = RingSpectrum(2.0, 0.5, samples)
+    path = tmp_path / "ring.csv"
+    write_ring_csv(ring, path)
+    expected = "phi,re,im\n" + _lines(_g17(ring.azimuths()), _g17(samples.real),
+                                       _g17(samples.imag))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+    coeffs = (_golden_column(8, 3) + 1j * _golden_column(8, 5)) * 1e-160  # |c|^2 stays finite
+    spec = OamSpectrum(2.0, 0.5, -3, 4, coeffs)
+    path = tmp_path / "oam.csv"
+    write_oam_csv(spec, path)
+    expected = "n,re,im,abs2\n" + _lines([str(n) for n in range(-3, 5)], _g17(coeffs.real),
+                                          _g17(coeffs.imag), _g17(abs(c) ** 2 for c in coeffs))
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_spectrum_writers(tmp_path):
