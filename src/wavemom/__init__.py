@@ -20,7 +20,6 @@ from .momenta import (
     grid_mean,
     mean_charge,
     oam_mathieu_paper,
-    oam_plane_wave,
     report,
 )
 from .spectral import (

@@ -87,9 +87,9 @@ def build_parser():
     reader.add_argument("--in-format", choices=["hwmf", "csv"], default="hwmf",
                         help="csv ingests x,y,re,im lattices (supply --k/--theta)")
     reader.add_argument("--k", type=float, default=None,
-                        help="wavenumber for csv input")
+                        help="wavenumber for csv input (required there, refused for hwmf)")
     reader.add_argument("--theta", type=float, default=None,
-                        help="cone angle for csv input")
+                        help="cone angle for csv input (required there, refused for hwmf)")
     reader.add_argument("--ring-samples", type=int, default=spectral.DEFAULT_RING_SAMPLES)
     reader.add_argument("--n-range", default="-40,40", metavar="NMIN,NMAX")
     reader.add_argument("--window", default="none", choices=["none", "hann"])
@@ -141,8 +141,13 @@ def _cmd_gen(args):
 
 
 def _read_input(args):
+    """The --in field on its cone: from --k/--theta for CSV, from the header for HWMF."""
     if args.in_format == "csv":
-        return fieldio.read_field_csv(args.infile, k=args.k, theta=args.theta)
+        if None in (args.k, args.theta):
+            raise UsageError("csv input carries no cone; give --k and --theta")
+        return fieldio.read_field_csv(args.infile, args.k, args.theta)
+    if (args.k, args.theta) != (None, None):
+        raise UsageError("--k/--theta are for csv input; an hwmf file carries its cone")
     return fieldio.read_field(args.infile)
 
 
@@ -189,12 +194,6 @@ def _cmd_momenta(args):
     return 0
 
 
-def _class_tag(parity, n):
-    if parity == "even":
-        return "ce-even" if n % 2 == 0 else "ce-odd"
-    return "se-odd" if n % 2 == 1 else "se-even"
-
-
 def _cmd_mathieu_table(args):
     if (args.q_max is None) != (args.q_steps is None):
         raise UsageError("--q-max and --q-steps must be given together")
@@ -205,12 +204,11 @@ def _cmd_mathieu_table(args):
             raise UsageError("--q-steps must be at least 2")
         qs = list(np.linspace(args.q, args.q_max, args.q_steps))
     lines = ["class,n,q,char_value,j,coeff"]
-    tag = _class_tag(args.parity, args.n)
     for q in qs:
         eig = mathieu_eigen(args.parity, args.n, q)
         for j, coeff in zip(eig.harmonics, eig.coeffs):
             lines.append(
-                f"{tag},{args.n},{float(q):.17g},{eig.char_value:.17g},"
+                f"{eig.mathieu_class.tag},{args.n},{float(q):.17g},{eig.char_value:.17g},"
                 f"{int(j)},{float(coeff):.17g}"
             )
     _emit("\n".join(lines) + "\n", args.out)
@@ -229,11 +227,13 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # arithmetic that overflows double precision on the input is exit 2, not a numpy warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RangeError, DomainError, NumericalError, UndefinedMeanError) as exc:
+    except (RangeError, DomainError, NumericalError, UndefinedMeanError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
     except (FormatError, OSError) as exc:

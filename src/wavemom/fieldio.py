@@ -43,6 +43,15 @@ def write_field(fieldgrid, path):
         fh.write(payload.tobytes())
 
 
+def _header_number(header, key, kind=float, default=None):
+    """header[key] as a JSON integer (kind int) or number (kind float); refuses bool and strings."""
+    value = header[key] if default is None else header.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise TypeError(f"{key} must be a JSON {'integer' if kind is int else 'number'}, "
+                        f"got {json.dumps(value)}")
+    return kind(value)
+
+
 def read_field(path):
     """Read an HWMF1 file back into a FieldGrid."""
     with open(path, "rb") as fh:
@@ -58,13 +67,12 @@ def read_field(path):
     if header.get("magic") != MAGIC:
         raise FormatError(f"{path}: bad magic {header.get('magic')!r}, expected {MAGIC!r}")
     try:
-        nx, ny = int(header["nx"]), int(header["ny"])
-        dx, dy = float(header["dx"]), float(header["dy"])
-        x0, y0 = float(header["x0"]), float(header["y0"])
-        meta = GridMeta(k=None if header.get("k") is None else float(header["k"]),
-                        theta=None if header.get("theta") is None else float(header["theta"]),
-                        z_plane=float(header.get("z_plane", 0.0)),
-                        description=str(header.get("description", "")))
+        nx, ny = _header_number(header, "nx", int), _header_number(header, "ny", int)
+        dx, dy = _header_number(header, "dx"), _header_number(header, "dy")
+        x0, y0 = _header_number(header, "x0"), _header_number(header, "y0")
+        meta = GridMeta(_header_number(header, "k"), _header_number(header, "theta"),
+                        _header_number(header, "z_plane", default=0.0),
+                        str(header.get("description", "")))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # RangeError is a ValueError
         raise FormatError(f"{path}: incomplete or invalid header: {exc}") from exc
 
@@ -185,15 +193,16 @@ def _first(mask):
     return int(np.argmax(mask)) if mask.any() else None
 
 
-def read_field_csv(path, k=None, theta=None, z_plane=0.0, description=""):
-    """Read a complete rectangular x,y,re,im lattice (any row order).
+def read_field_csv(path, k, theta):
+    """Read a complete rectangular x,y,re,im lattice (any row order) on the (k, theta) cone.
 
     Grid geometry is inferred from the coordinates; a row off the lattice
     or on a node already seen is a format error naming the first such row
-    in file order, and a gap names the first missing node.  Wave metadata
-    is not stored in CSV, so k and theta may be supplied here.
+    in file order, and a gap names the first missing node.  CSV carries no
+    wave metadata, so the caller states the cone, which is checked (a
+    RangeError) before the file is read.
     """
-    meta = GridMeta(k=k, theta=theta, z_plane=z_plane, description=description)
+    meta = GridMeta(k, theta)
     data = _load_rows(path)
     x, y = data[:, 0], data[:, 1]
     xs, dx = _lattice_axis(x, path, "x")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, RangeError, UndefinedMeanError
-from .spectral import analytic_ring, oam_spectrum, ring_spectrum_from_grid
+from .spectral import DEFAULT_RING_SAMPLES, oam_spectrum, ring_spectrum_from_grid
 from .specfun import mathieu_eigen
 
 GRID_OPS = ("lz", "px", "py", "elliptic")
@@ -47,16 +47,6 @@ def mean_charge(spec):
     if not total > 0.0:
         raise UndefinedMeanError("charge spectrum has zero norm; mean is undefined")
     return float((spec.charges() * power).sum() / total)
-
-
-def oam_plane_wave(label, m=1024, n_half=40):
-    """Mean charge of a plane wave via its regularised ring profile.
-
-    All charge magnitudes of the azimuth delta are equal, so any symmetric
-    charge window cancels exactly and the result is 0.
-    """
-    spec = oam_spectrum(analytic_ring(label, m), -n_half, n_half)
-    return mean_charge(spec)
 
 
 def oam_mathieu_paper(parity, n, q):
@@ -182,7 +172,7 @@ def _elliptic_notes(measured, parity, n, q):
     )
 
 
-def report(fieldgrid, methods=("spectral", "grid"), m=1024, n_min=-40, n_max=40,
+def report(fieldgrid, methods=("spectral", "grid"), m=DEFAULT_RING_SAMPLES, n_min=-40, n_max=40,
            window="none", f=None, parity=None, n=None, q=None):
     """Momentum reports for a sampled field, one entry per requested method.
 
@@ -192,11 +182,9 @@ def report(fieldgrid, methods=("spectral", "grid"), m=1024, n_min=-40, n_max=40,
     cone metadata).  Results are reported side by side, never averaged.
     """
     meta = fieldgrid.meta
-    if meta.k is None or meta.theta is None:
-        raise RangeError("field metadata must carry k and theta to build reports")
     mean_pz = math.cos(meta.theta)
     if q is None and f is not None:
-        q = (f * meta.k * math.sin(meta.theta) / 2.0) ** 2
+        q = meta.separation(f)
 
     out = []
     for method in methods:

@@ -75,6 +75,11 @@ class MathieuClass:
             return self.order_parity          # 0 or 1
         return self.order_parity if self.order_parity else 2
 
+    @property
+    def tag(self):
+        """'ce-even', 'ce-odd', 'se-odd' or 'se-even': the series and the order parity."""
+        return f"{'ce' if self.parity == 'even' else 'se'}-{'odd' if self.order_parity else 'even'}"
+
     def harmonics(self, count):
         return self.first_harmonic + 2 * np.arange(count)
 
@@ -148,7 +153,7 @@ def _refine_tail(diag, offd, a, vec):
 
 
 def _solve(mcls, n, q, size):
-    rank = n // 2 if not (mcls.parity == "odd" and mcls.order_parity == 0) else n // 2 - 1
+    rank = (n - mcls.first_harmonic) // 2
     d, e = _tridiagonal(mcls, q, size)
     try:
         w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(rank, rank))

@@ -47,7 +47,6 @@ class RingSpectrum:
     k: float
     theta: float
     samples: np.ndarray = field(repr=False)
-    window: str = "none"
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128)
@@ -72,14 +71,16 @@ class OamSpectrum:
     n_min: int
     n_max: int
     coeffs: np.ndarray = field(repr=False)
-    norm: float = None
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if len(self.coeffs) != self.n_max - self.n_min + 1:
             raise RangeError("coefficient count does not match the charge range")
-        if self.norm is None:
-            self.norm = float(np.sum(np.abs(self.coeffs) ** 2))
+
+    @property
+    def norm(self):
+        """Total charge power sum |c_n|^2."""
+        return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def charges(self):
         return np.arange(self.n_min, self.n_max + 1)
@@ -119,9 +120,7 @@ def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
     """
     _check_ring_size(m)
     meta = fieldgrid.meta
-    if meta.k is None or meta.theta is None:
-        raise RangeError("field metadata must carry k and theta for spectral analysis")
-    kt = meta.k * math.sin(meta.theta)
+    kt = meta.kt
     nyquist = math.pi / max(fieldgrid.dx, fieldgrid.dy)
     if kt >= nyquist:
         raise RangeError(
@@ -139,8 +138,8 @@ def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
     by = np.exp(-1j * np.outer(fieldgrid.y(), ky))        # (ny, M)
     sums = np.einsum("jm,jm->m", by, vals @ ax)
     weight = math.sqrt(math.sin(meta.theta)) * fieldgrid.dx * fieldgrid.dy
-    carrier = np.exp(-1j * meta.k * math.cos(meta.theta) * meta.z_plane)
-    return RingSpectrum(meta.k, meta.theta, weight * carrier * sums, window=window)
+    carrier = np.exp(-1j * meta.kz * meta.z_plane)
+    return RingSpectrum(meta.k, meta.theta, weight * carrier * sums)
 
 
 def oam_spectrum(ring, n_min=-40, n_max=40):
@@ -233,24 +232,20 @@ def bessel_coeffs_of_mathieu(eigen, k, theta):
     coeffs = eigen.coeffs
     n_top = int(harmonics[-1]) if len(harmonics) else 0
 
+    half = coeffs / math.sqrt(2.0)
     one = np.zeros(n_top + 1, dtype=np.complex128)
-    for j, a in zip(harmonics, coeffs):
-        one[int(j)] = a / math.sqrt(2.0)
+    one[harmonics] = half
     one_sided = OamSpectrum(k, theta, 0, n_top, one)
 
     two = np.zeros(2 * n_top + 1, dtype=np.complex128)
     centre = n_top
-    even_series = eigen.mathieu_class.parity == "even"
-    for j, a in zip(harmonics, coeffs):
-        j = int(j)
-        if even_series:
-            if j == 0:
-                two[centre] = math.sqrt(2.0) * a
-            else:
-                two[centre + j] = a / math.sqrt(2.0)
-                two[centre - j] = a / math.sqrt(2.0)
-        else:
-            two[centre + j] = -1j * a / math.sqrt(2.0)
-            two[centre - j] = 1j * a / math.sqrt(2.0)
+    if eigen.mathieu_class.parity == "even":
+        two[centre + harmonics] = half
+        two[centre - harmonics] = half
+        if eigen.mathieu_class.first_harmonic == 0:
+            two[centre] = math.sqrt(2.0) * coeffs[0]
+    else:
+        two[centre + harmonics] = -1j * half
+        two[centre - harmonics] = 1j * half
     two_sided = OamSpectrum(k, theta, -n_top, n_top, two)
     return one_sided, two_sided

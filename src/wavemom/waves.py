@@ -30,28 +30,17 @@ _BELOW_PI = math.nextafter(math.pi, 0.0)
 
 
 @dataclass(frozen=True)
-class Wave:
-    """A separable wave on the cone (k, theta), paired with its ring amplitude.
-
-    Each family adds its own labels and implements ``field(x, y, z)``, the
-    complex field at points given as scalars or broadcastable arrays, and
-    ``ring_profile(phi)``, its on-cone angular spectrum at the uniform ring
-    azimuths ``phi`` (see ``spectral.ring_azimuths``).
-    """
+class Cone:
+    """A propagation cone; construction checks that 0 < k < inf and 0 < theta < pi."""
 
     k: float
     theta: float
 
     def __post_init__(self):
-        self.check_cone(self.k, self.theta)
-
-    @staticmethod
-    def check_cone(k, theta):
-        """Raise RangeError unless k is positive and finite and 0 < theta < pi."""
-        if not (k > 0.0 and math.isfinite(k)):
-            raise RangeError(f"wavenumber k must be positive and finite, got {k}")
-        if not (0.0 < theta < math.pi):
-            raise RangeError(f"cone angle theta must lie in (0, pi), got {theta}")
+        if not (self.k > 0.0 and math.isfinite(self.k)):
+            raise RangeError(f"wavenumber k must be positive and finite, got {self.k}")
+        if not (0.0 < self.theta < math.pi):
+            raise RangeError(f"cone angle theta must lie in (0, pi), got {self.theta}")
 
     @property
     def kt(self):
@@ -60,6 +49,21 @@ class Wave:
     @property
     def kz(self):
         return self.k * math.cos(self.theta)
+
+    def separation(self, f):
+        """Mathieu separation parameter q = (f k_t / 2)^2 for foci at +-f."""
+        return (f * self.kt / 2.0) ** 2
+
+
+@dataclass(frozen=True)
+class Wave(Cone):
+    """A separable wave on its cone, paired with its ring amplitude.
+
+    Each family adds its own labels and implements ``field(x, y, z)``, the
+    complex field at points given as scalars or broadcastable arrays, and
+    ``ring_profile(phi)``, its on-cone angular spectrum at the uniform ring
+    azimuths ``phi`` (see ``spectral.ring_azimuths``).
+    """
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ class MathieuWave(Wave):
     @property
     def q(self):
         """Separation parameter (f k sin(theta) / 2)^2."""
-        return (self.f * self.kt / 2.0) ** 2
+        return self.separation(self.f)
 
     def field(self, x, y, z):
         """sqrt(sin theta) c_n Ce_n(xi) ce_n(eta) e^{i k_z z}, or the s_n Se_n se_n odd form.
@@ -194,18 +198,14 @@ def make_wave(family, k, theta, **labels):
 
 
 @dataclass(frozen=True)
-class GridMeta:
-    """Wave metadata carried by a sampled field."""
+class GridMeta(Cone):
+    """The cone of a sampled field, its slice plane z and a free-text description."""
 
-    k: float = None
-    theta: float = None
     z_plane: float = 0.0
     description: str = ""
 
     def __post_init__(self):
-        # either cone label may be absent; one that is given must be valid
-        Wave.check_cone(1.0 if self.k is None else self.k,
-                        math.pi / 2 if self.theta is None else self.theta)
+        super().__post_init__()
         if not math.isfinite(self.z_plane):
             raise RangeError(f"slice plane z must be finite, got {self.z_plane}")
 
@@ -225,20 +225,24 @@ class FieldGrid:
     x0: float
     y0: float
     values: np.ndarray = field(repr=False)
-    meta: GridMeta = field(default_factory=GridMeta)
+    meta: GridMeta
 
     @staticmethod
-    def check_geometry(nx, ny, dx, dy, x0, y0):
-        """Raise RangeError unless the grid is at least 16x16 with finite, positive spacings."""
+    def check_geometry(nx, ny, dx, dy, x0, y0, meta):
+        """Raise RangeError unless the grid is at least 16x16 with finite, positive spacings
+        and the largest phase on meta's cone, k_t (max|x| + max|y|) + |k_z z|, is finite."""
         if nx < 16 or ny < 16:
             raise RangeError(f"grid must be at least 16x16, got {nx}x{ny}")
         if not (dx > 0.0 and dy > 0.0):
             raise RangeError("grid spacings must be positive")
         if not all(map(math.isfinite, (dx, dy, x0, y0))):
             raise RangeError("grid origin and spacings must be finite")
+        reach = max(abs(x0), abs(x0 + (nx - 1) * dx)) + max(abs(y0), abs(y0 + (ny - 1) * dy))
+        if not math.isfinite(meta.kt * reach + abs(meta.kz * meta.z_plane)):
+            raise RangeError("largest phase k_t (max|x| + max|y|) + |k_z z_plane| is not finite")
 
     def __post_init__(self):
-        self.check_geometry(self.nx, self.ny, self.dx, self.dy, self.x0, self.y0)
+        self.check_geometry(self.nx, self.ny, self.dx, self.dy, self.x0, self.y0, self.meta)
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.ny, self.nx):
             raise RangeError(
@@ -288,12 +292,12 @@ def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None
         x0 = -0.5 * (nx - 1) * dx
     if y0 is None:
         y0 = -0.5 * (ny - 1) * dy
-    FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0)  # before any sample is computed
-    x = x0 + dx * np.arange(nx)
-    y = y0 + dy * np.arange(ny)
     if description is None:
         description = f"{label.family} wave sample"
-    meta = GridMeta(k=label.k, theta=label.theta, z_plane=float(z), description=description)
+    meta = GridMeta(label.k, label.theta, float(z), description)
+    FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, meta)  # before any sample is computed
+    x = x0 + dx * np.arange(nx)
+    y = y0 + dy * np.arange(ny)
     X, Y = np.meshgrid(x, y)
     vals = label.field(X, Y, z)
     return FieldGrid(nx, ny, float(dx), float(dy), float(x0), float(y0), vals, meta)

@@ -247,7 +247,7 @@ def test_criterion_8_io_round_trips(tmp_path):
     lines = csv_path.read_text().splitlines()
     gap.write_text("\n".join(lines[:10] + lines[11:]) + "\n")
     with pytest.raises(FormatError):
-        fieldio.read_field_csv(gap)
+        fieldio.read_field_csv(gap, grid.meta.k, grid.meta.theta)
     rejected += 1
 
     _line(8, True, f"binary bit-exact, CSV rel {rel:.1e}, "

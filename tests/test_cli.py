@@ -185,7 +185,9 @@ def test_help_lists_flags(capsys):
 
 @pytest.mark.parametrize("key,value", [("k", "abc"), ("k", -6.28), ("theta", 0),
                                        ("z_plane", "x"), ("z_plane", math.nan),
-                                       ("dx", -1.0), ("dx", math.nan), ("x0", math.inf)])
+                                       ("dx", -1.0), ("dx", math.nan), ("x0", math.inf),
+                                       ("nx", 16.9), ("dx", True), ("k", "6.283185307179586"),
+                                       ("k", None)])
 def test_bad_header_values_exit_3(tmp_path, capsys, key, value):
     path = tmp_path / "field.hwmf"
     assert run(["gen", "--family", "plane", "--k", 1.0, "--theta", 0.5,
@@ -219,8 +221,8 @@ def test_csv_ingestion_path(tmp_path):
     assert code == 0
     (entry,) = json.loads(report_path.read_text())
     assert entry["mean_lz"] == pytest.approx(1.0, abs=1e-3)
-    # csv input without cone metadata cannot be decomposed
-    assert run(["spectrum", "--in", csv_path, "--in-format", "csv"]) == 2
+    # csv input without a cone is a usage error
+    assert run(["spectrum", "--in", csv_path, "--in-format", "csv"]) == 1
     # off-cone metadata is refused as it is for gen
     for k, theta in ((-6.28, THETA), (K, 0)):
         assert run(["momenta", "--in", csv_path, "--in-format", "csv", "--k", k,
@@ -235,6 +237,9 @@ def test_csv_below_16x16_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: grid must be at least 16x16, got 2x2\n"
 
 
+_PHASE_OVERFLOW = "largest phase k_t (max|x| + max|y|) + |k_z z_plane| is not finite"
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--family", "mathieu-even", "--n", 2, "--f", 0.5, "--dx", "inf"],
      "grid origin and spacings must be finite"),
@@ -243,6 +248,8 @@ def test_csv_below_16x16_exits_3(tmp_path, capsys):
     (["--family", "bessel", "--n", 2, "--dx", 1e308], "grid origin and spacings must be finite"),
     (["--family", "mathieu-odd", "--n", 1, "--f", 0.5, "--dy", 0],
      "grid spacings must be positive"),
+    (["--family", "bessel", "--n", 2, "--z", 1e308], _PHASE_OVERFLOW),
+    (["--family", "bessel", "--n", 2, "--origin", "1e308,0"], _PHASE_OVERFLOW),
 ])
 def test_gen_checks_geometry_before_sampling(tmp_path, capsys, flags, message):
     assert run(["gen", "--k", K, "--theta", THETA, "--grid", "16,16", *flags,
@@ -262,6 +269,67 @@ def small_inputs(tmp_path_factory):
                 "--grid", "16,16", "--dx", lam_t / 4.0, "--out", field]) == 0
     write_field_csv(read_field(field), d / "field.csv")
     return d
+
+
+def test_cone_comes_from_one_place(tmp_path, small_inputs, capsys):
+    csv_path, hwmf = small_inputs / "field.csv", small_inputs / "field.hwmf"
+    # csv needs --k and --theta, checked before the file is opened
+    for flags in ([], ["--k", K], ["--theta", THETA]):
+        assert run(["momenta", "--in", csv_path, "--in-format", "csv", *flags]) == 1
+        assert run(["spectrum", "--in", tmp_path / "missing.csv", "--in-format", "csv", *flags]) == 1
+    # an hwmf file carries its cone, so --k/--theta are refused rather than ignored
+    for flags in (["--k", 99], ["--theta", 1.2], ["--k", 99, "--theta", 1.2]):
+        assert run(["momenta", "--in", hwmf, *flags, "--methods", "spectral"]) == 1
+    capsys.readouterr()
+    # a header without k is a format error (k null is a case of test_bad_header_values_exit_3)
+    head, payload = hwmf.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    del header["k"]
+    path = tmp_path / "cone.hwmf"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+    assert run(["momenta", "--in", path, "--methods", "spectral"]) == 3
+    assert capsys.readouterr().err == f"error: {path}: incomplete or invalid header: 'k'\n"
+
+
+@pytest.mark.parametrize("key", ["z_plane", "x0"])
+def test_overflowing_phase_exits_3(tmp_path, small_inputs, capsys, key):
+    head, payload = (small_inputs / "field.hwmf").read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header[key] = 1e308  # k_t and k_z both exceed 1 on this cone
+    path = tmp_path / "far.hwmf"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+    assert run(["momenta", "--in", path, "--methods", "spectral,grid"]) == 3
+    assert capsys.readouterr().err == \
+        f"error: {path}: incomplete or invalid header: {_PHASE_OVERFLOW}\n"
+
+
+def test_overflow_in_a_command_exits_2(tmp_path, capsys):
+    # a sample of 1e200 is finite, but its square is past double precision
+    path = tmp_path / "loud.hwmf"
+    assert run(["gen", "--family", "plane", "--k", 1.0, "--theta", 0.5, "--grid", "16,16",
+                "--out", path]) == 0
+    head, payload = path.read_bytes().split(b"\n", 1)
+    values = np.frombuffer(payload, dtype="<c16").copy()
+    values[100] = 1e200
+    path.write_bytes(head + b"\n" + values.tobytes())
+    for methods in ("spectral", "grid"):
+        assert run(["momenta", "--in", path, "--methods", methods]) == 2
+        assert capsys.readouterr().err == "error: overflow encountered in square\n"
+
+
+def test_report_q_is_the_wave_q(tmp_path, monkeypatch):
+    from wavemom import momenta
+    from wavemom.waves import MathieuWave
+    path = tmp_path / "ellipse.hwmf"
+    assert run(["gen", "--family", "mathieu-even", "--k", 3.0, "--theta", 0.5, "--n", 2,
+                "--f", 0.3, "--grid", "16,16", "--dx", 0.05, "--out", path]) == 0
+    seen = []
+    solve = momenta.mathieu_eigen
+    monkeypatch.setattr(momenta, "mathieu_eigen", lambda *a: seen.append(a[2]) or solve(*a))
+    assert run(["momenta", "--in", path, "--methods", "paper", "--f", 0.3,
+                "--parity", "even", "--n", 2, "--out", tmp_path / "r.json"]) == 0
+    q = MathieuWave(3.0, 0.5, 2, "even", 0.3).q
+    assert q == 0.046544391530850854 and set(seen) == {q}
 
 
 _JUNK = ["x", "", " ", "nan", "-inf", "1e999", "1e", "#", "0x1", "1_0", "\u0661", "\ufffd",

@@ -111,6 +111,12 @@ def _set_header(path, key, value):
     ("dx", -1.0, "header: grid spacings must be positive"),
     ("dx", math.nan, "header: grid spacings must be positive"),
     ("x0", math.inf, "header: grid origin and spacings must be finite"),
+    ("nx", 16.9, "header: nx must be a JSON integer, got 16.9"),
+    ("dx", True, "header: dx must be a JSON number, got true"),
+    ("k", "6.283185307179586", 'header: k must be a JSON number, got "6.283185307179586"'),
+    ("k", None, "header: k must be a JSON number, got null"),
+    ("z_plane", 1.5e308, r"header: largest phase k_t \(max\|x\| \+ max\|y\|\) \+ \|k_z z_plane\|"),
+    ("x0", 1.5e308, "header: largest phase"),
 ])
 def test_bad_header_values_rejected(tmp_path, key, value, message):
     path = tmp_path / "field.hwmf"
@@ -148,7 +154,7 @@ def test_csv_accepts_shuffled_rows(tmp_path):
     rng = np.random.default_rng(0)
     body = [lines[i + 1] for i in rng.permutation(len(lines) - 1)]
     path.write_text("\n".join(body) + "\n")  # also drop the header line
-    back = read_field_csv(path)
+    back = read_field_csv(path, 2.0, 0.7)
     assert np.abs(back.values - g.values).max() <= 1e-15 * np.abs(g.values).max()
 
 
@@ -160,7 +166,7 @@ def test_csv_gap_names_first_missing_node(tmp_path):
     dropped = lines[:1] + lines[2:]  # remove the first data row
     path.write_text("\n".join(dropped) + "\n")
     with pytest.raises(FormatError, match="missing node"):
-        read_field_csv(path)
+        read_field_csv(path, 2.0, 0.7)
 
 
 def test_csv_duplicate_node_rejected(tmp_path):
@@ -171,7 +177,7 @@ def test_csv_duplicate_node_rejected(tmp_path):
     lines.append(lines[1])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="duplicate"):
-        read_field_csv(path)
+        read_field_csv(path, 2.0, 0.7)
 
 
 def test_csv_non_finite_names_line(tmp_path):
@@ -184,14 +190,14 @@ def test_csv_non_finite_names_line(tmp_path):
     lines.insert(3, "")  # blank lines still count towards the line number
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=r"field\.csv:7: non-finite value"):
-        read_field_csv(path)
+        read_field_csv(path, 2.0, 0.7)
 
 
 def test_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "field.csv"
     path.write_text("x,y,re,im\n0,0,1\n")
     with pytest.raises(FormatError, match="columns"):
-        read_field_csv(path)
+        read_field_csv(path, 2.0, 0.7)
 
 
 def _csv_lines(tmp_path, seed=8, nx=16, ny=16):
@@ -203,7 +209,7 @@ def _csv_lines(tmp_path, seed=8, nx=16, ny=16):
 
 def _read_error(path):
     with pytest.raises(FormatError) as exc:
-        read_field_csv(path)
+        read_field_csv(path, 2.0, 0.7)
     return str(exc.value)
 
 
@@ -219,7 +225,7 @@ def test_csv_accepted_layouts(tmp_path, variant):
         lines = lines[1:]  # the first row is then data, not a header
     newline = "\r\n" if variant == "crlf" else "\n"
     path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
-    back = read_field_csv(path)
+    back = read_field_csv(path, 2.0, 0.7)
     assert back.values.tobytes() == g.values.tobytes()
     assert (back.nx, back.ny) == (g.nx, g.ny)
 
@@ -245,7 +251,7 @@ def test_csv_reader_matches_row_loop(tmp_path):
     lines = path.read_text().splitlines()
     order = np.random.default_rng(1).permutation(len(lines) - 1)
     path.write_text("\n".join(lines[:1] + [lines[i + 1] for i in order]) + "\n")
-    back = read_field_csv(path)
+    back = read_field_csv(path, 2.0, 0.7)
     values, dx, dy, x0, y0 = _reference_read(path)
     assert back.values.tobytes() == values.tobytes()
     assert (back.dx, back.dy, back.x0, back.y0) == (dx, dy, x0, y0)
@@ -284,7 +290,8 @@ def test_csv_comment_lines_rejected(tmp_path):
 def test_csv_off_lattice_message(tmp_path):
     # a column shifted by 5e-10 passes the 1e-9 uniform-spacing check on the
     # x axis but misses its node by more than 1e-6 * dx
-    g = FieldGrid(16, 16, 1e-4, 1e-4, 0.0, 0.0, random_grid(seed=10, nx=16, ny=16).values)
+    g = FieldGrid(16, 16, 1e-4, 1e-4, 0.0, 0.0, random_grid(seed=10, nx=16, ny=16).values,
+                  GridMeta(2.0, 0.7))
     path = tmp_path / "field.csv"
     write_field_csv(g, path)
     lines = path.read_text().splitlines()
@@ -357,7 +364,7 @@ def _g17(values):
 
 def test_csv_writers_golden_bytes(tmp_path):
     values = (_golden_column(256, 0) + 1j * _golden_column(256, 3)).reshape(16, 16)
-    grid = FieldGrid(16, 16, 0.1, 1.0 / 3.0, -0.7, 1e-300, values)
+    grid = FieldGrid(16, 16, 0.1, 1.0 / 3.0, -0.7, 1e-300, values, GridMeta(2.0, 0.7))
     path = tmp_path / "field.csv"
     write_field_csv(grid, path)
     x, y = grid.x(), grid.y()

@@ -14,6 +14,7 @@ from wavemom.specfun import (
 from wavemom.waves import (
     BesselWave,
     FieldGrid,
+    GridMeta,
     MathieuWave,
     PlaneWave,
     elliptic_coords,
@@ -233,14 +234,15 @@ def test_mathieu_grid_range_error_names_sample():
 
 
 def test_field_grid_validation():
+    meta = GridMeta(1.0, 0.5)
     with pytest.raises(RangeError):
-        FieldGrid(8, 8, 0.1, 0.1, 0.0, 0.0, np.zeros((8, 8), complex))
+        FieldGrid(8, 8, 0.1, 0.1, 0.0, 0.0, np.zeros((8, 8), complex), meta)
     with pytest.raises(RangeError):
-        FieldGrid(16, 16, 0.1, 0.1, 0.0, 0.0, np.zeros((4, 4), complex))
+        FieldGrid(16, 16, 0.1, 0.1, 0.0, 0.0, np.zeros((4, 4), complex), meta)
     bad = np.zeros((16, 16), complex)
     bad[3, 3] = np.nan
     with pytest.raises(RangeError):
-        FieldGrid(16, 16, 0.1, 0.1, 0.0, 0.0, bad)
+        FieldGrid(16, 16, 0.1, 0.1, 0.0, 0.0, bad, meta)
 
 
 # ----------------------------------------------- pointwise eigenchecks
