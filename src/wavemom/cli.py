@@ -27,6 +27,7 @@ from .specfun import mathieu_eigen
 EXIT_USAGE = 1
 EXIT_RANGE = 2
 EXIT_IO = 3
+MAX_Q_STEPS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,12 +105,11 @@ def build_parser():
     mom = sub.add_parser("momenta", parents=[reader],
                          help="momentum report for a field file")
     mom.add_argument("--methods", default="spectral,grid",
-                     help="comma list from spectral,grid,paper")
-    mom.add_argument("--f", type=float, default=None, help="semi-focal distance")
+                     help="comma list from " + ",".join(momenta.ROUTES))
+    mom.add_argument("--f", type=float, default=None,
+                     help="semi-focal distance; with --parity and --n it names the elliptic wave")
     mom.add_argument("--parity", choices=["even", "odd"], default=None)
     mom.add_argument("--n", type=int, default=None, help="elliptic order")
-    mom.add_argument("--q", type=float, default=None,
-                     help="separation parameter (default: from --f and metadata)")
     mom.add_argument("--out", default=None, help="report JSON (default: stdout)")
 
     tab = sub.add_parser("mathieu-table",
@@ -118,7 +118,8 @@ def build_parser():
     tab.add_argument("--n", type=int, required=True)
     tab.add_argument("--q", type=float, required=True)
     tab.add_argument("--q-max", type=float, default=None)
-    tab.add_argument("--q-steps", type=int, default=None)
+    tab.add_argument("--q-steps", type=int, default=None,
+                     help=f"q values from --q to --q-max, 2 to {MAX_Q_STEPS}")
     tab.add_argument("--out", default=None, help="CSV path (default: stdout)")
     return parser
 
@@ -178,17 +179,15 @@ def _cmd_spectrum(args):
 
 def _cmd_momenta(args):
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    known = {"spectral", "grid", "paper"}
-    if not methods or not set(methods) <= known:
-        raise UsageError(f"--methods takes a comma list from {sorted(known)}")
-    if "paper" in methods and (args.parity is None or args.n is None):
-        raise UsageError("--methods paper needs --parity and --n "
-                         "(and --q, or --f with cone metadata)")
+    if not methods or not set(methods) <= set(momenta.ROUTES):
+        raise UsageError(f"--methods takes a comma list from {sorted(momenta.ROUTES)}")
+    if "paper" in methods and None in (args.f, args.parity, args.n):
+        raise UsageError("--methods paper needs --f, --parity and --n")
     n_min, n_max = _pair(args.n_range, int, "--n-range")
     grid = _read_input(args)
     reports = momenta.report(
         grid, methods=methods, m=args.ring_samples, n_min=n_min, n_max=n_max,
-        window=args.window, f=args.f, parity=args.parity, n=args.n, q=args.q,
+        window=args.window, f=args.f, parity=args.parity, n=args.n,
     )
     _emit(fieldio.report_json_str(reports) + "\n", args.out)
     return 0
@@ -200,8 +199,8 @@ def _cmd_mathieu_table(args):
     if args.q_max is None:
         qs = [args.q]
     else:
-        if args.q_steps < 2:
-            raise UsageError("--q-steps must be at least 2")
+        if not 2 <= args.q_steps <= MAX_Q_STEPS:
+            raise UsageError(f"--q-steps must lie in [2, {MAX_Q_STEPS}], got {args.q_steps}")
         qs = list(np.linspace(args.q, args.q_max, args.q_steps))
     lines = ["class,n,q,char_value,j,coeff"]
     for q in qs:

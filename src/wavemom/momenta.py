@@ -16,6 +16,7 @@ import numpy as np
 from .errors import NumericalError, RangeError, UndefinedMeanError
 from .spectral import DEFAULT_RING_SAMPLES, oam_spectrum, ring_spectrum_from_grid
 from .specfun import mathieu_eigen
+from .waves import MathieuWave
 
 GRID_OPS = ("lz", "px", "py", "elliptic")
 
@@ -67,43 +68,21 @@ def oam_mathieu_paper(parity, n, q):
     return float((weights * power).sum() / power.sum())
 
 
-def _interior(values, border):
-    return values[border:-border, border:-border]
-
-
-def _d_dx(values, dx):
-    return (values[:, 2:] - values[:, :-2]) / (2.0 * dx)
-
-
-def _d_dy(values, dy):
-    return (values[2:, :] - values[:-2, :]) / (2.0 * dy)
-
-
-def _apply_lz(values, x, y, dx, dy):
-    """-i (x d/dy - y d/dx) on the one-cell-shrunk interior."""
-    vx = _d_dx(values, dx)[1:-1, :]
-    vy = _d_dy(values, dy)[:, 1:-1]
-    xs = x[1:-1][None, :]
-    ys = y[1:-1][:, None]
-    return -1j * (xs * vy - ys * vx)
-
-
-def _apply_px(values, dx):
-    return -1j * _d_dx(values, dx)[1:-1, :]
-
-
-def _apply_py(values, dy):
-    return -1j * _d_dy(values, dy)[:, 1:-1]
+def _lz(values, x, y, dx, dy):
+    """-i (x d/dy - y d/dx) by centred differences; the border samples are not centred."""
+    d_dy, d_dx = np.gradient(values, dy, dx)
+    return -1j * (x[None, :] * d_dy - y[:, None] * d_dx)
 
 
 def grid_mean(fieldgrid, op, f=None):
     """Rayleigh quotient of a momentum operator on a sampled field.
 
-    Derivatives use centred second-order differences; the composed
-    operator lz^2 + f^2 px^2 applies the first-order stencils twice, so
-    its quadrature region loses two border cells instead of one.  The
-    imaginary part of the quotient must stay below 1e-6 relative, else a
-    NumericalError is raised; the real part is returned (raw operator
+    Derivatives are numpy's centred second-order differences
+    (``np.gradient``), exact only one sample in from the border; the
+    composed operator lz^2 + f^2 px^2 applies the first-order stencils
+    twice, so its quadrature region loses two border cells instead of one.
+    The imaginary part of the quotient must stay below 1e-6 relative, else
+    a NumericalError is raised; the real part is returned (raw operator
     units: lz dimensionless, px/py in rad/length).
     """
     if op not in GRID_OPS:
@@ -117,23 +96,22 @@ def grid_mean(fieldgrid, op, f=None):
     dx, dy = fieldgrid.dx, fieldgrid.dy
 
     if op == "lz":
-        applied = _apply_lz(v, x, y, dx, dy)
+        applied = _lz(v, x, y, dx, dy)
     elif op == "px":
-        applied = _apply_px(v, dx)
+        applied = -1j * np.gradient(v, dx, axis=1)
     elif op == "py":
-        applied = _apply_py(v, dy)
+        applied = -1j * np.gradient(v, dy, axis=0)
     else:
         if f is None or not f > 0.0:
             raise RangeError("the elliptic operator needs a positive semi-focal distance f")
-        inner = _apply_lz(v, x, y, dx, dy)
-        lz2 = _apply_lz(inner, x[1:-1], y[1:-1], dx, dy)
-        # compose the first-derivative stencil twice for px^2
-        px2 = -_d_dx(_d_dx(v, dx), dx)[2:-2, :]
+        lz2 = _lz(_lz(v, x, y, dx, dy), x, y, dx, dy)
+        px2 = -np.gradient(np.gradient(v, dx, axis=1), dx, axis=1)
         applied = lz2 + f * f * px2
 
-    core = _interior(v, border)
+    inner = (slice(border, -border),) * 2
+    core = v[inner]
     denom = np.vdot(core, core)
-    quot = np.vdot(core, applied) / denom
+    quot = np.vdot(core, applied[inner]) / denom
     scale = max(1.0, abs(quot))
     if abs(quot.imag) > 1e-6 * scale:
         raise NumericalError(
@@ -157,12 +135,12 @@ def ring_transverse_means(ring):
     )
 
 
-def _elliptic_notes(measured, parity, n, q):
-    eig = mathieu_eigen(parity, n, q)
+def _elliptic_notes(measured, wave):
+    eig = mathieu_eigen(wave.parity, wave.n, wave.q)
     cands = {
         "char": eig.char_value,
-        "char+2q": eig.char_value + 2.0 * q,
-        "char-2q": eig.char_value - 2.0 * q,
+        "char+2q": eig.char_value + 2.0 * wave.q,
+        "char-2q": eig.char_value - 2.0 * wave.q,
     }
     best = min(cands, key=lambda name: abs(cands[name] - measured))
     listing = ", ".join(f"{name}={val:.9g}" for name, val in cands.items())
@@ -172,69 +150,76 @@ def _elliptic_notes(measured, parity, n, q):
     )
 
 
+def _spectral_route(fieldgrid, *, m, n_min, n_max, window, **_):
+    ring = ring_spectrum_from_grid(fieldgrid, m, window)
+    spec = oam_spectrum(ring, n_min, n_max)
+    px, py = ring_transverse_means(ring)
+    return MomentumReport(
+        mean_lz=mean_charge(spec),
+        mean_px=px, mean_py=py, mean_pz=math.cos(fieldgrid.meta.theta),
+        elliptic_invariant=None,
+        method="spectral", norm_used=spec.norm, window=window,
+        notes=f"charge window [{n_min}, {n_max}]; pz from cone metadata",
+    )
+
+
+def _grid_route(fieldgrid, *, f, wave, **_):
+    k = fieldgrid.meta.k
+    lz = grid_mean(fieldgrid, "lz")
+    px = grid_mean(fieldgrid, "px") / k
+    py = grid_mean(fieldgrid, "py") / k
+    inv = None if f is None else grid_mean(fieldgrid, "elliptic", f=f)
+    notes = "pz from cone metadata"
+    if wave is not None:  # built from f, so inv is set
+        notes = _elliptic_notes(inv, wave) + "; " + notes
+    norm = float(np.sum(np.abs(fieldgrid.values) ** 2) * fieldgrid.dx * fieldgrid.dy)
+    return MomentumReport(
+        mean_lz=lz, mean_px=px, mean_py=py, mean_pz=math.cos(fieldgrid.meta.theta),
+        elliptic_invariant=inv,
+        method="grid-oracle", norm_used=norm, window="none",
+        notes=notes,
+    )
+
+
+def _paper_route(fieldgrid, *, wave, **_):
+    if wave is None:
+        raise RangeError("the closed-form method needs parity, n and f")
+    eig = mathieu_eigen(wave.parity, wave.n, wave.q)
+    return MomentumReport(
+        mean_lz=oam_mathieu_paper(wave.parity, wave.n, wave.q),
+        mean_px=0.0, mean_py=0.0, mean_pz=math.cos(fieldgrid.meta.theta),
+        elliptic_invariant=None,
+        method="paper-formula",
+        norm_used=float(np.sum(eig.coeffs ** 2)),
+        window="none",
+        notes=(
+            "one-sided coefficient sum; the two-sided spectral mean of the "
+            "same real profile is 0 by conjugation symmetry"
+        ),
+    )
+
+
+# method name -> route; the CLI's --methods takes its choices from here
+ROUTES = {"spectral": _spectral_route, "grid": _grid_route, "paper": _paper_route}
+
+
 def report(fieldgrid, methods=("spectral", "grid"), m=DEFAULT_RING_SAMPLES, n_min=-40, n_max=40,
-           window="none", f=None, parity=None, n=None, q=None):
+           window="none", f=None, parity=None, n=None):
     """Momentum reports for a sampled field, one entry per requested method.
 
-    Methods: "spectral" (ring + charge spectrum means), "grid"
-    (finite-difference Rayleigh quotients), "paper" (closed-form elliptic
-    mean charge; needs parity and n, with q given or derived from f and the
-    cone metadata).  Results are reported side by side, never averaged.
+    Methods (see ROUTES): "spectral" (ring + charge spectrum means),
+    "grid" (finite-difference Rayleigh quotients, plus the elliptic
+    invariant when f is given), "paper" (closed-form elliptic mean charge).
+    Given f, parity and n together, one MathieuWave on the grid's cone
+    supplies q to the grid notes and the paper route, so "paper" needs all
+    three.  Results are reported side by side, never averaged.
     """
     meta = fieldgrid.meta
-    mean_pz = math.cos(meta.theta)
-    if q is None and f is not None:
-        q = meta.separation(f)
-
+    wave = None if None in (f, parity, n) else MathieuWave(meta.k, meta.theta, n, parity, f)
     out = []
     for method in methods:
-        if method == "spectral":
-            ring = ring_spectrum_from_grid(fieldgrid, m, window)
-            spec = oam_spectrum(ring, n_min, n_max)
-            px, py = ring_transverse_means(ring)
-            out.append(MomentumReport(
-                mean_lz=mean_charge(spec),
-                mean_px=px, mean_py=py, mean_pz=mean_pz,
-                elliptic_invariant=None,
-                method="spectral", norm_used=spec.norm, window=window,
-                notes=f"charge window [{n_min}, {n_max}]; pz from cone metadata",
-            ))
-        elif method == "grid":
-            k = meta.k
-            lz = grid_mean(fieldgrid, "lz")
-            px = grid_mean(fieldgrid, "px") / k
-            py = grid_mean(fieldgrid, "py") / k
-            inv = None
-            notes = "pz from cone metadata"
-            if f is not None:
-                inv = grid_mean(fieldgrid, "elliptic", f=f)
-                if parity is not None and n is not None and q is not None:
-                    notes = _elliptic_notes(inv, parity, n, q) + "; pz from cone metadata"
-            norm = float(np.sum(np.abs(fieldgrid.values) ** 2) * fieldgrid.dx * fieldgrid.dy)
-            out.append(MomentumReport(
-                mean_lz=lz, mean_px=px, mean_py=py, mean_pz=mean_pz,
-                elliptic_invariant=inv,
-                method="grid-oracle", norm_used=norm, window="none",
-                notes=notes,
-            ))
-        elif method == "paper":
-            if parity is None or n is None:
-                raise RangeError("the closed-form method needs parity and n")
-            if q is None:
-                raise RangeError("the closed-form method needs q, or f plus cone metadata")
-            eig = mathieu_eigen(parity, n, q)
-            out.append(MomentumReport(
-                mean_lz=oam_mathieu_paper(parity, n, q),
-                mean_px=0.0, mean_py=0.0, mean_pz=mean_pz,
-                elliptic_invariant=None,
-                method="paper-formula",
-                norm_used=float(np.sum(eig.coeffs ** 2)),
-                window="none",
-                notes=(
-                    "one-sided coefficient sum; the two-sided spectral mean of the "
-                    "same real profile is 0 by conjugation symmetry"
-                ),
-            ))
-        else:
+        if method not in ROUTES:
             raise RangeError(f"unknown method {method!r}")
+        out.append(ROUTES[method](fieldgrid, m=m, n_min=n_min, n_max=n_max, window=window,
+                                  f=f, wave=wave))
     return out

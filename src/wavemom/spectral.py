@@ -26,6 +26,7 @@ import numpy as np
 from .errors import RangeError
 
 DEFAULT_RING_SAMPLES = 1024
+MAX_RING_SAMPLES = 2 ** 16
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -36,8 +37,9 @@ def ring_azimuths(m):
 
 
 def _check_ring_size(m):
-    if m < 256 or m & (m - 1):
-        raise RangeError(f"ring sample count must be a power of two >= 256, got {m}")
+    if not 256 <= m <= MAX_RING_SAMPLES or m & (m - 1):
+        raise RangeError(
+            f"ring sample count must be a power of two in [256, {MAX_RING_SAMPLES}], got {m}")
 
 
 @dataclass

@@ -24,9 +24,11 @@ from .specfun import (
     mathieu_se,
     mathieu_se_radial,
 )
+from .specfun.mathieu import MAX_Q
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**n without pow() rounding
 _BELOW_PI = math.nextafter(math.pi, 0.0)
+MAX_SAMPLES = 2 ** 26  # nx * ny: 1 GiB of complex128 samples
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,6 @@ class Cone:
     @property
     def kz(self):
         return self.k * math.cos(self.theta)
-
-    def separation(self, f):
-        """Mathieu separation parameter q = (f k_t / 2)^2 for foci at +-f."""
-        return (f * self.kt / 2.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -137,6 +135,10 @@ class MathieuWave(Wave):
         MathieuClass.from_order(self.parity, self.n)  # validates parity and order
         if not (self.f > 0.0 and math.isfinite(self.f)):
             raise RangeError(f"semi-focal distance f must be positive, got {self.f}")
+        root_q = self.f * self.kt / 2.0  # compared before squaring, which could overflow
+        if root_q > math.sqrt(MAX_Q):
+            raise RangeError(
+                f"q = (f k_t / 2)^2 exceeds the supported maximum {MAX_Q:g} (f k_t / 2 = {root_q:g})")
 
     @property
     def family(self):
@@ -144,8 +146,8 @@ class MathieuWave(Wave):
 
     @property
     def q(self):
-        """Separation parameter (f k sin(theta) / 2)^2."""
-        return self.separation(self.f)
+        """Separation parameter (f k sin(theta) / 2)^2 for foci at +-f."""
+        return (self.f * self.kt / 2.0) ** 2
 
     def field(self, x, y, z):
         """sqrt(sin theta) c_n Ce_n(xi) ce_n(eta) e^{i k_z z}, or the s_n Se_n se_n odd form.
@@ -229,17 +231,27 @@ class FieldGrid:
 
     @staticmethod
     def check_geometry(nx, ny, dx, dy, x0, y0, meta):
-        """Raise RangeError unless the grid is at least 16x16 with finite, positive spacings
-        and the largest phase on meta's cone, k_t (max|x| + max|y|) + |k_z z|, is finite."""
+        """Return the origin (x0, y0), centring on 0 an axis whose origin is None.
+
+        Raise RangeError unless the grid holds 16x16 to MAX_SAMPLES samples (checked
+        before any float is made of nx and ny), its spacings are finite and positive,
+        and its largest phase on meta's cone, k_t (max|x| + max|y|) + |k_z z|, is finite."""
         if nx < 16 or ny < 16:
             raise RangeError(f"grid must be at least 16x16, got {nx}x{ny}")
+        if nx * ny > MAX_SAMPLES:
+            raise RangeError(f"grid must hold at most {MAX_SAMPLES} samples, got {nx}x{ny}")
         if not (dx > 0.0 and dy > 0.0):
             raise RangeError("grid spacings must be positive")
+        if x0 is None:
+            x0 = -0.5 * (nx - 1) * dx
+        if y0 is None:
+            y0 = -0.5 * (ny - 1) * dy
         if not all(map(math.isfinite, (dx, dy, x0, y0))):
             raise RangeError("grid origin and spacings must be finite")
         reach = max(abs(x0), abs(x0 + (nx - 1) * dx)) + max(abs(y0), abs(y0 + (ny - 1) * dy))
         if not math.isfinite(meta.kt * reach + abs(meta.kz * meta.z_plane)):
             raise RangeError("largest phase k_t (max|x| + max|y|) + |k_z z_plane| is not finite")
+        return x0, y0
 
     def __post_init__(self):
         self.check_geometry(self.nx, self.ny, self.dx, self.dy, self.x0, self.y0, self.meta)
@@ -288,14 +300,10 @@ def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None
     supported range: elliptic waves name the first offending sample index.
     """
     nx, ny = int(nx), int(ny)
-    if x0 is None:
-        x0 = -0.5 * (nx - 1) * dx
-    if y0 is None:
-        y0 = -0.5 * (ny - 1) * dy
     if description is None:
         description = f"{label.family} wave sample"
     meta = GridMeta(label.k, label.theta, float(z), description)
-    FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, meta)  # before any sample is computed
+    x0, y0 = FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, meta)  # before any sample is computed
     x = x0 + dx * np.arange(nx)
     y = y0 + dy * np.arange(ny)
     X, Y = np.meshgrid(x, y)

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wavemom.cli import main
+from wavemom.waves import MathieuWave
 
 K = 2.0 * math.pi
 THETA = 0.3
@@ -179,8 +184,9 @@ def test_help_lists_flags(capsys):
     for flag in shared + ("--out-ring", "--out-oam", "--out-summary"):
         assert flag in text
     text = _help_text("momenta", capsys)
-    for flag in shared + ("--methods", "--f", "--parity", "--n", "--q", "--out"):
+    for flag in shared + ("--methods", "--f", "--parity", "--n", "--out"):
         assert flag in text
+    assert "--q" not in text  # q comes from the wave that --f, --parity and --n name
 
 
 @pytest.mark.parametrize("key,value", [("k", "abc"), ("k", -6.28), ("theta", 0),
@@ -396,3 +402,114 @@ def test_momenta_survives_mutated_inputs(small_inputs, tmp_path_factory, data):
         path.write_bytes(_mutate_hwmf(blob, data))
         fmt = []
     assert run(["momenta", "--in", path, *fmt, "--methods", "spectral,grid"]) in (0, 2, 3)
+
+
+# ------------------------------------------------------ elliptic labels
+
+ELL_THETA = math.pi / 6
+ELL_F = 2.0 / (K * math.sin(ELL_THETA))  # q = 1 on this cone
+
+
+@pytest.fixture(scope="module")
+def mathieu_input(tmp_path_factory):
+    """A 32x32 even n = 2 Mathieu field at q = 1, as an HWMF file."""
+    path = tmp_path_factory.mktemp("ellipse") / "field.hwmf"
+    assert run(["gen", "--family", "mathieu-even", "--k", K, "--theta", ELL_THETA, "--n", 2,
+                "--f", ELL_F, "--grid", "32,32", "--dx", 0.06, "--out", path]) == 0
+    return path
+
+
+_Q_CAP = "q = (f k_t / 2)^2 exceeds the supported maximum 1e+06 (f k_t / 2 = 1.5708e+300)"
+
+
+@pytest.mark.parametrize("flags,code,message", [
+    # q has one source, the wave that --f, --parity and --n name
+    (["--f", 0.3, "--q", 7, "--parity", "even", "--n", 2], 1, "unrecognized arguments: --q 7"),
+    (["--methods", "paper", "--f", 0, "--parity", "even", "--n", 2], 2,
+     "semi-focal distance f must be positive, got 0.0"),
+    (["--methods", "paper", "--f=-0.3", "--parity", "even", "--n", 2], 2,
+     "semi-focal distance f must be positive, got -0.3"),
+    (["--f=-0.3", "--parity", "even", "--n", 2], 2, "semi-focal distance f must be positive, got -0.3"),
+    (["--f", 1e300, "--parity", "even", "--n", 2], 2, _Q_CAP),
+    (["--methods", "paper", "--parity", "even", "--n", 2], 1,
+     "--methods paper needs --f, --parity and --n"),
+])
+def test_momenta_elliptic_labels_name_one_wave(mathieu_input, capsys, flags, code, message):
+    assert run(["momenta", "--in", mathieu_input, *flags]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_gen_refuses_q_beyond_the_cap(tmp_path, capsys):
+    assert run(["gen", "--family", "mathieu-even", "--k", K, "--theta", ELL_THETA, "--n", 2,
+                "--f", 1e300, "--grid", "16,16", "--out", tmp_path / "x.hwmf"]) == 2
+    assert capsys.readouterr().err == f"error: {_Q_CAP}\n"
+
+
+def _valid_wave(f, parity, n):
+    try:
+        MathieuWave(K, ELL_THETA, n, parity, f)
+    except ValueError:
+        return False
+    return True
+
+
+_F_EDGES = [0.0, -0.0, -0.3, -1e300, math.nan, math.inf, -math.inf, 1e300, 5e-324, 2.2e-308,
+            ELL_F, 1e3, 1e4]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(f=st.one_of(st.sampled_from(_F_EDGES), st.floats()),
+       parity=st.sampled_from(["even", "odd"]), n=st.integers(-2, 520),
+       methods=st.sampled_from(["paper", "grid,paper", "spectral,grid,paper"]))
+@example(f=1e300, parity="even", n=2, methods="paper")
+@example(f=math.inf, parity="odd", n=1, methods="paper")
+@example(f=math.nan, parity="even", n=2, methods="grid,paper")
+@example(f=5e-324, parity="even", n=2, methods="spectral,grid,paper")
+@example(f=ELL_F, parity="even", n=2, methods="spectral,grid,paper")
+def test_momenta_elliptic_labels_fuzz(mathieu_input, tmp_path_factory, f, parity, n, methods):
+    out = tmp_path_factory.mktemp("labels") / "report.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["momenta", "--in", mathieu_input, "--methods", methods,
+                    f"--f={f!r}", "--parity", parity, "--n", n, "--out", out])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert math.isfinite(f) and f > 0.0 and _valid_wave(f, parity, n)
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# ------------------------------------------------------ size caps
+
+@pytest.mark.parametrize("digits", [300, 400])
+def test_gen_refuses_a_huge_grid_before_any_array(tmp_path, capsys, digits):
+    nx = 10 ** digits
+    assert run(["gen", "--family", "plane", "--k", 1, "--theta", 0.5, "--grid", f"{nx},16",
+                "--out", tmp_path / "x.hwmf"]) == 2
+    assert capsys.readouterr().err == f"error: grid must hold at most 67108864 samples, got {nx}x16\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "momenta"])
+def test_ring_samples_cap(small_inputs, capsys, command):
+    assert run([command, "--in", small_inputs / "field.hwmf",
+                "--ring-samples", 2 ** 62]) == 2
+    assert capsys.readouterr().err == \
+        f"error: ring sample count must be a power of two in [256, 65536], got {2 ** 62}\n"
+
+
+def test_q_steps_cap(capsys):
+    assert run(["mathieu-table", "--parity", "even", "--n", 2, "--q", 0, "--q-max", 1,
+                "--q-steps", 10 ** 20]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --q-steps must lie in [2, 100000], got {10 ** 20}\n"
+
+
+def test_benchmark_tracer_binds_every_traced_name():
+    # perfbench/traced.py wraps public functions by name; a rename must fail here too
+    root = Path(__file__).resolve().parents[1]
+    script = ("import sys; sys.path.insert(0, 'perfbench'); "
+              "from traced import Tracer, install_all; install_all(Tracer())")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
