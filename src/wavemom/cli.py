@@ -28,15 +28,15 @@ EXIT_USAGE = 1
 EXIT_RANGE = 2
 EXIT_IO = 3
 MAX_Q_STEPS = 100_000
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"  # an unsigned decimal, as float() reads it
 
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let values like "-12,12" or "-1.25,-0.5" (charge ranges, origins)
-        # pass as argument values rather than being mistaken for flags
-        self._negative_number_matcher = re.compile(
-            r"^-\d+(\.\d+)?(,-?\d+(\.\d+)?)*$")
+        # let values like "-12,12", "-1.25,-0.5" or "-1e-3,0" (charge ranges,
+        # origins) pass as argument values rather than being mistaken for flags
+        self._negative_number_matcher = re.compile(rf"^-{_NUMBER}(,-?{_NUMBER})*$")
 
     def error(self, message):
         raise UsageError(message)

@@ -212,9 +212,12 @@ def report(fieldgrid, methods=("spectral", "grid"), m=DEFAULT_RING_SAMPLES, n_mi
     invariant when f is given), "paper" (closed-form elliptic mean charge).
     Given f, parity and n together, one MathieuWave on the grid's cone
     supplies q to the grid notes and the paper route, so "paper" needs all
-    three.  Results are reported side by side, never averaged.
+    three.  An f given at all must pass the cone's ``check_focal``, whatever
+    the methods.  Results are reported side by side, never averaged.
     """
     meta = fieldgrid.meta
+    if f is not None:
+        meta.check_focal(f)
     wave = None if None in (f, parity, n) else MathieuWave(meta.k, meta.theta, n, parity, f)
     out = []
     for method in methods:

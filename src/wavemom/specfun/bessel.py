@@ -1,7 +1,6 @@
 """Bessel functions of the first kind, integer order."""
 
 import numpy as np
-from scipy import special
 
 from ..errors import RangeError
 
@@ -27,6 +26,8 @@ def bessel_j(n, x):
         raise RangeError(
             f"Bessel argument exceeds supported range |x| <= {MAX_ARGUMENT:g}"
         )
+    from scipy import special  # here, not at module level: start-up stays numpy-only
+
     sign = 1.0
     if n < 0:
         # reduce to non-negative order; jn is best conditioned there

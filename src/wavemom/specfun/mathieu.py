@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from ..errors import DomainError, NumericalError, RangeError
 
@@ -153,11 +152,13 @@ def _refine_tail(diag, offd, a, vec):
 
 
 def _solve(mcls, n, q, size):
+    import scipy.linalg  # here, not at module level: start-up stays numpy-only
+
     rank = (n - mcls.first_harmonic) // 2
     d, e = _tridiagonal(mcls, q, size)
     try:
         w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(rank, rank))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
         raise NumericalError(
             f"tridiagonal eigensolver failed for {mcls.parity} n={n} q={q}: {exc}"
         ) from exc

@@ -28,6 +28,7 @@ from .specfun.mathieu import MAX_Q
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**n without pow() rounding
 _BELOW_PI = math.nextafter(math.pi, 0.0)
+_ABOVE_ZERO = math.ulp(0.0)
 MAX_SAMPLES = 2 ** 26  # nx * ny: 1 GiB of complex128 samples
 
 
@@ -51,6 +52,15 @@ class Cone:
     @property
     def kz(self):
         return self.k * math.cos(self.theta)
+
+    def check_focal(self, f):
+        """Refuse a semi-focal distance that is not finite and positive or puts q over MAX_Q."""
+        if not (f > 0.0 and math.isfinite(f)):
+            raise RangeError(f"semi-focal distance f must be positive, got {f}")
+        root_q = f * self.kt / 2.0  # compared before squaring, which could overflow
+        if root_q > math.sqrt(MAX_Q):
+            raise RangeError(
+                f"q = (f k_t / 2)^2 exceeds the supported maximum {MAX_Q:g} (f k_t / 2 = {root_q:g})")
 
 
 @dataclass(frozen=True)
@@ -133,12 +143,7 @@ class MathieuWave(Wave):
     def __post_init__(self):
         super().__post_init__()
         MathieuClass.from_order(self.parity, self.n)  # validates parity and order
-        if not (self.f > 0.0 and math.isfinite(self.f)):
-            raise RangeError(f"semi-focal distance f must be positive, got {self.f}")
-        root_q = self.f * self.kt / 2.0  # compared before squaring, which could overflow
-        if root_q > math.sqrt(MAX_Q):
-            raise RangeError(
-                f"q = (f k_t / 2)^2 exceeds the supported maximum {MAX_Q:g} (f k_t / 2 = {root_q:g})")
+        self.check_focal(self.f)
 
     @property
     def family(self):
@@ -279,14 +284,19 @@ def elliptic_coords(x, y, f):
     and eta in [-pi, pi); the sign of eta matches the sign of y, points on
     the inter-foci segment get xi = 0 and eta >= 0 (the origin maps to
     eta = pi/2), and the ray x <= -f, y = 0 maps to eta = -pi.  Points with
-    y > 0 whose eta rounds to pi get the largest double below pi instead.
+    y > 0 whose eta rounds to pi get the largest double below pi instead,
+    and points with y != 0 whose eta rounds to 0 get the smallest double of
+    the sign of y.
     """
     if not (f > 0.0):
         raise RangeError(f"semi-focal distance f must be positive, got {f}")
-    z = (np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)) / f
+    y = np.asarray(y, dtype=float)
+    z = (np.asarray(x, dtype=float) + 1j * y) / f
     w = np.arccosh(z)
     xi = np.maximum(w.real, 0.0)
-    eta = np.where(w.imag < math.pi, w.imag, np.where(np.asarray(y) > 0.0, _BELOW_PI, -math.pi))
+    eta = np.where(w.imag < math.pi, w.imag, np.where(y > 0.0, _BELOW_PI, -math.pi))
+    # y / f or eta can underflow to zero for a tiny y, which must still give eta its sign
+    eta = np.where((eta == 0.0) & (y != 0.0), np.copysign(_ABOVE_ZERO, y), eta)
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         return float(xi), float(eta)
     return xi, eta

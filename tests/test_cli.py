@@ -120,7 +120,7 @@ def test_gen_origin_flag(tmp_path):
     assert (g.x0, g.y0) == (1.5, -2.0)
 
 
-def test_negative_leading_values_accepted(tmp_path):
+def test_negative_leading_values_accepted(tmp_path, capsys):
     # "-12,12" styles must parse as values, not flags
     field = gen_bessel(tmp_path, n=1)
     oam = tmp_path / "oam.csv"
@@ -132,6 +132,15 @@ def test_negative_leading_values_accepted(tmp_path):
     assert run(["gen", "--family", "plane", "--k", 1.0, "--theta", 0.5,
                 "--grid", "16,16", "--dx", 0.25, "--origin", "-1.25,-0.5",
                 "--out", out]) == 0
+    # exponents and a bare leading point are numbers too, in every comma slot
+    plane = ["gen", "--family", "plane", "--k", 1.0, "--theta", 0.5, "--grid", "16,16"]
+    for name, flags in [("decimal", ["--origin", "-0.001,0", "--z", "-0.001"]),
+                        ("exponent", ["--origin", "-1e-3,0", "--z", "-1e-3"])]:
+        assert run([*plane, *flags, "--out", tmp_path / f"{name}.hwmf"]) == 0
+    assert (tmp_path / "exponent.hwmf").read_bytes() == (tmp_path / "decimal.hwmf").read_bytes()
+    assert run([*plane, "--origin", "-1.5E+2,-.5", "--out", out]) == 0
+    assert run(["momenta", "--in", field, "--f", "-1e-3"]) == 2
+    assert capsys.readouterr().err == "error: semi-focal distance f must be positive, got -0.001\n"
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -212,6 +221,42 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "mathieu-table" in proc.stdout
+
+
+_SCIPY_AFTER = """
+import json, sys
+from wavemom import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+"""
+
+
+def _scipy_after(commands):
+    """The scipy modules a fresh interpreter holds after importing wavemom.cli and running commands."""
+    root = Path(__file__).resolve().parents[1]
+    argvs = [[str(a) for a in argv] for argv in commands]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, json.dumps(argvs)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_start_up_does_not_import_scipy(tmp_path):
+    # only bessel_j and the Mathieu eigensolver call scipy, so only they load it
+    assert _scipy_after([]) == []
+    field = tmp_path / "plane.hwmf"
+    assert _scipy_after([
+        ["gen", "--family", "plane", "--k", K, "--theta", THETA, "--grid", "32,32", "--out", field],
+        ["spectrum", "--in", field, "--out-summary", tmp_path / "summary.json"],
+        ["momenta", "--in", field, "--methods", "spectral,grid", "--out", tmp_path / "report.json"],
+    ]) == []
+    assert "scipy.special" in _scipy_after([
+        ["gen", "--family", "bessel", "--k", K, "--theta", THETA, "--n", 2, "--grid", "32,32",
+         "--out", tmp_path / "bessel.hwmf"]])
+    assert "scipy.linalg" in _scipy_after([
+        ["mathieu-table", "--parity", "even", "--n", 2, "--q", 1, "--out", tmp_path / "table.csv"]])
 
 
 def test_csv_ingestion_path(tmp_path):
@@ -433,6 +478,10 @@ _Q_CAP = "q = (f k_t / 2)^2 exceeds the supported maximum 1e+06 (f k_t / 2 = 1.5
     (["--f", 1e300, "--parity", "even", "--n", 2], 2, _Q_CAP),
     (["--methods", "paper", "--parity", "even", "--n", 2], 1,
      "--methods paper needs --f, --parity and --n"),
+    # an f given without --parity/--n is checked all the same, whatever the methods
+    (["--methods", "spectral", "--f", -5], 2, "semi-focal distance f must be positive, got -5.0"),
+    (["--methods", "grid", "--f", 1e150], 2,
+     "q = (f k_t / 2)^2 exceeds the supported maximum 1e+06 (f k_t / 2 = 1.5708e+150)"),
 ])
 def test_momenta_elliptic_labels_name_one_wave(mathieu_input, capsys, flags, code, message):
     assert run(["momenta", "--in", mathieu_input, *flags]) == code

@@ -128,6 +128,8 @@ def test_elliptic_coords_special_points():
 @given(st.floats(1e-3, 1e3), st.floats(0.0, 6.0),
        st.floats(-math.pi, math.pi - 1e-9))
 @example(f=1.0, xi=1.1754943508222875e-38, eta=3.1415926525897926)
+@example(f=216.0, xi=5.735270451915589e-116, eta=1.994895694844068e-211)  # y / f underflows
+@example(f=216.0, xi=5.735270451915589e-116, eta=-1.994895694844068e-211)
 def test_elliptic_coords_round_trip(f, xi, eta):
     x = f * math.cosh(xi) * math.cos(eta)
     y = f * math.sinh(xi) * math.sin(eta)
