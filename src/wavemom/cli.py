@@ -69,9 +69,10 @@ def build_parser():
     gen.add_argument("--family", required=True, choices=list(waves.FAMILIES))
     gen.add_argument("--k", type=float, required=True, help="wavenumber (rad/length)")
     gen.add_argument("--theta", type=float, required=True, help="cone angle in (0, pi)")
-    gen.add_argument("--phi", type=float, default=0.0, help="plane-wave azimuth")
-    gen.add_argument("--n", type=int, default=0, help="charge / order")
-    gen.add_argument("--f", type=float, default=None, help="semi-focal distance")
+    gen.add_argument("--phi", type=float, default=None, help="plane-wave azimuth (default 0)")
+    gen.add_argument("--n", type=int, default=None,
+                     help="Bessel charge / Mathieu order (default 0)")
+    gen.add_argument("--f", type=float, default=None, help="Mathieu semi-focal distance")
     gen.add_argument("--grid", default="128,128", metavar="NX,NY")
     gen.add_argument("--dx", type=float, default=None)
     gen.add_argument("--dy", type=float, default=None)
@@ -126,7 +127,7 @@ def build_parser():
 
 def _cmd_gen(args):
     theta = math.radians(args.theta) if args.degrees else args.theta
-    phi = math.radians(args.phi) if args.degrees else args.phi
+    phi = math.radians(args.phi) if args.degrees and args.phi is not None else args.phi
     label = waves.make_wave(args.family, args.k, theta, phi=phi, n=args.n, f=args.f)
 
     nx, ny = _pair(args.grid, int, "--grid")

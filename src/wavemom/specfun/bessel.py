@@ -8,6 +8,18 @@ MAX_ORDER = 200
 MAX_ARGUMENT = 1.0e4
 
 
+def check_bessel_range(n, x):
+    """Raise RangeError unless |n| <= MAX_ORDER and every x is finite with |x| <= MAX_ARGUMENT."""
+    if abs(n) > MAX_ORDER:
+        raise RangeError(f"Bessel order {n} outside supported range |n| <= {MAX_ORDER}")
+    if not np.all(np.isfinite(x)):
+        raise RangeError("Bessel argument must be finite")
+    if np.any(np.abs(x) > MAX_ARGUMENT):
+        raise RangeError(
+            f"Bessel argument exceeds supported range |x| <= {MAX_ARGUMENT:g}"
+        )
+
+
 def bessel_j(n, x):
     """Evaluate J_n(x) for integer order n.
 
@@ -17,15 +29,8 @@ def bessel_j(n, x):
     and returns a matching float or ndarray.
     """
     n = int(n)
-    if abs(n) > MAX_ORDER:
-        raise RangeError(f"Bessel order {n} outside supported range |n| <= {MAX_ORDER}")
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise RangeError("Bessel argument must be finite")
-    if np.any(np.abs(arr) > MAX_ARGUMENT):
-        raise RangeError(
-            f"Bessel argument exceeds supported range |x| <= {MAX_ARGUMENT:g}"
-        )
+    check_bessel_range(n, arr)
     from scipy import special  # here, not at module level: start-up stays numpy-only
 
     sign = 1.0

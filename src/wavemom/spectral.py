@@ -29,6 +29,8 @@ DEFAULT_RING_SAMPLES = 1024
 MAX_RING_SAMPLES = 2 ** 16
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_BLOCK = 128       # grid rows per block of the ring sum
+_TILE = 2 ** 18    # table entries per axis tile of the field synthesis
 
 
 def ring_azimuths(m):
@@ -110,13 +112,49 @@ def _window_2d(fieldgrid, window):
     raise RangeError(f"unknown window {window!r}; use 'none' or 'hann'")
 
 
+def _quarter(m):
+    """Quarter-table index and phase maps of the M ring azimuths.
+
+    With kappa_l = k_t cos(2 pi l / M) for l = 0..M/4, every ring wavevector
+    is kx_m = s_m kappa_{l_m}, ky_m = t_m kappa_{M/4 - l_m} with signs +-1,
+    so e^{-i (x kx_m + y ky_m)} = sum over a, b in (cos, sin) of
+    a(x kappa_{l_m}) b(y kappa_{M/4 - l_m}) sigma[m, a, b].  Returns the
+    index l (M,) and sigma (M, 2, 2); the adjoint kernel uses conj(sigma).
+    """
+    q = m // 4
+    j = np.arange(m)
+    u = j % (2 * q)
+    index = np.minimum(u, 2 * q - u)
+    s = np.where((j <= q) | (j > 3 * q), -1.0, 1.0)
+    t = np.where(j <= 2 * q, -1.0, 1.0)
+    sigma = np.stack([np.ones(m), -1j * t, -1j * s, -s * t], axis=1).reshape(m, 2, 2)
+    return index, sigma
+
+
+def _kappa(kt, m):
+    """The quarter-table wavenumbers kappa_l = k_t cos(2 pi l / M), l = 0..M/4."""
+    q = m // 4
+    return kt * np.cos(0.5 * math.pi * np.arange(q + 1) / q)
+
+
+def _tables(coords, kappa):
+    """cos and sin of coords * kappa, shape (len(coords), 2, len(kappa))."""
+    arg = np.multiply.outer(coords, kappa)
+    out = np.empty((len(coords), 2, len(kappa)))
+    np.cos(arg, out=out[:, 0])
+    np.sin(arg, out=out[:, 1])
+    return out
+
+
 def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
     """Ring amplitude of a sampled field by direct nonuniform Fourier sums.
 
     The continuous transform integral is evaluated as a Riemann sum over
-    the grid directly at the M ring wavevectors (cost O(nx ny M), done as
-    two matrix products with fixed pairwise accumulation, so results are
-    reproducible bit for bit).  The slice plane's axial phase is removed,
+    the grid directly at the M ring wavevectors (cost O(nx ny M)).  The
+    ring's symmetries reduce the exponentials to real cos/sin tables of
+    M/4 + 1 wavenumbers per axis, summed as real matrix products over
+    fixed blocks of _BLOCK grid rows in a fixed order, so results are
+    reproducible bit for bit.  The slice plane's axial phase is removed,
     making spectra of different z planes identical.  The transverse
     wavenumber must stay below the grid Nyquist limit pi / max(dx, dy).
     """
@@ -131,17 +169,55 @@ def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
         )
     vals = fieldgrid.values
     w2d = _window_2d(fieldgrid, window)
-    if w2d is not None:
-        vals = vals * w2d
-    phi = ring_azimuths(m)
-    kx = kt * np.cos(phi)
-    ky = kt * np.sin(phi)
-    ax = np.exp(-1j * np.outer(fieldgrid.x(), kx))        # (nx, M)
-    by = np.exp(-1j * np.outer(fieldgrid.y(), ky))        # (ny, M)
-    sums = np.einsum("jm,jm->m", by, vals @ ax)
+    kappa = _kappa(kt, m)
+    tx = _tables(fieldgrid.x(), kappa).reshape(fieldgrid.nx, -1)     # (nx, 2 (M/4+1))
+    y = fieldgrid.y()
+    acc = np.zeros((2, len(kappa), 2, 2))
+    for i0 in range(0, fieldgrid.ny, _BLOCK):
+        rows = vals[i0:i0 + _BLOCK]
+        if w2d is not None:
+            rows = rows * w2d[i0:i0 + _BLOCK]
+        parts = (np.concatenate((rows.real, rows.imag)) @ tx).reshape(2, len(rows), 2, -1)
+        acc += np.einsum("pial,ibl->plab", parts, _tables(y[i0:i0 + _BLOCK], kappa[::-1]))
+    index, sigma = _quarter(m)
+    sums = np.einsum("mab,mab->m", (acc[0] + 1j * acc[1])[index], sigma)
     weight = math.sqrt(math.sin(meta.theta)) * fieldgrid.dx * fieldgrid.dy
     carrier = np.exp(-1j * meta.kz * meta.z_plane)
     return RingSpectrum(meta.k, meta.theta, weight * carrier * sums)
+
+
+def field_from_ring(ring, x, y, z):
+    """The field on the grid axes x, y at plane z whose angular spectrum is ``ring``.
+
+    Evaluates sin(theta) (2 pi / M) sum_m a_m e^{i (kx_m x + ky_m y)} e^{i k_z z},
+    the trapezoid rule for the angular-spectrum (Whittaker) integral, which
+    is spectrally accurate for a smooth ring profile.  Returns shape
+    (len(y), len(x)).  The adjoint of :func:`ring_spectrum_from_grid`'s kernel
+    on the same quarter tables, computed in tiles of at most _TILE table
+    entries per axis, so no temporary grows with len(x) * M.
+    """
+    m = ring.m
+    kt = ring.k * math.sin(ring.theta)
+    kz = ring.k * math.cos(ring.theta)
+    kappa = _kappa(kt, m)
+    index, sigma = _quarter(m)
+    scale = math.sin(ring.theta) * 2.0 * math.pi / m * np.exp(1j * kz * z)
+    coef = np.zeros((len(kappa), 2, 2), dtype=np.complex128)
+    np.add.at(coef, index, sigma.conj() * (scale * ring.samples)[:, None, None])
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.empty((len(y), len(x)), dtype=np.complex128)
+    pairs = out.view(np.float64)        # (ny, 2 nx): re, im interleaved
+    step = _TILE // (2 * len(kappa))
+    for j0 in range(0, len(x), step):
+        cols = x[j0:j0 + step]
+        # w[b, l, j] = sum_a coef[l, a, b] a(x_j kappa_l): the x half of the kernel
+        w = np.einsum("lab,jal->blj", coef, _tables(cols, kappa), order="C")
+        w = w.reshape(-1, len(cols)).view(np.float64)
+        for i0 in range(0, len(y), step):
+            ty = _tables(y[i0:i0 + step], kappa[::-1])
+            np.matmul(ty.reshape(len(ty), -1), w, out=pairs[i0:i0 + step, 2 * j0:2 * (j0 + len(cols))])
+    return out
 
 
 def oam_spectrum(ring, n_min=-40, n_max=40):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import RangeError, UsageError
+from .spectral import analytic_ring, field_from_ring
 from .specfun import (
     MathieuClass,
     bessel_j,
@@ -24,12 +25,14 @@ from .specfun import (
     mathieu_se,
     mathieu_se_radial,
 )
+from .specfun.bessel import check_bessel_range
 from .specfun.mathieu import MAX_Q
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**n without pow() rounding
 _BELOW_PI = math.nextafter(math.pi, 0.0)
 _ABOVE_ZERO = math.ulp(0.0)
 MAX_SAMPLES = 2 ** 26  # nx * ny: 1 GiB of complex128 samples
+_ALIASING = 1e-16  # bound on the ring-sum aliasing of a synthesised Bessel grid
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,14 @@ class Wave(Cone):
     ``ring_profile(phi)``, its on-cone angular spectrum at the uniform ring
     azimuths ``phi`` (see ``spectral.ring_azimuths``).
     """
+
+    def sample(self, x, y, z):
+        """The field on the grid of 1-D axes x, y at plane z, shape (len(y), len(x)).
+
+        ``field`` gets the axes as a (1, nx) row and an (ny, 1) column, which it
+        broadcasts, so no full-grid coordinate arrays are made.
+        """
+        return self.field(*np.meshgrid(x, y, sparse=True), z)
 
 
 @dataclass(frozen=True)
@@ -130,6 +141,23 @@ class BesselWave(Wave):
     def ring_profile(self, phi):
         """(2 pi sin theta)^{-1/2} e^{i n phi}."""
         return np.exp(1j * self.n * phi) / math.sqrt(2.0 * math.pi * math.sin(self.theta))
+
+    def sample(self, x, y, z):
+        """The field on a grid, synthesised from the ring profile by ``spectral.field_from_ring``.
+
+        The ring's M samples alias J_n(z) with J_{M-|n|}(z) and weaker terms,
+        so M is the smallest power of two >= 256 whose bound
+        2 (z/2)^nu / nu! (nu = M - |n|) on those terms is <= 1e-16, for z the
+        largest k_t r on the grid.  Orders and arguments outside
+        ``bessel_j``'s range are refused as it refuses them.
+        """
+        z_max = self.kt * float(np.hypot(np.abs(x).max(), np.abs(y).max()))
+        check_bessel_range(self.n, z_max)
+        m = 256
+        while z_max > 0.0 and (math.log(2.0) + (m - abs(self.n)) * math.log(z_max / 2.0)
+                               - math.lgamma(m - abs(self.n) + 1) > math.log(_ALIASING)):
+            m *= 2
+        return field_from_ring(analytic_ring(self, m), x, y, z)
 
 
 @dataclass(frozen=True)
@@ -190,18 +218,28 @@ FAMILIES = {
 }
 
 
+_LABEL_DEFAULTS = {"phi": 0.0, "n": 0}
+
+
 def make_wave(family, k, theta, **labels):
     """The member of a named family on the (k, theta) cone.
 
-    Takes from ``labels`` the ones the family carries (phi; n; n and f) and
-    ignores the others; a carried label given as None is a UsageError.
+    ``labels`` maps label names (phi, n, f) to values, None meaning not
+    given.  The family takes the labels it carries (phi; n; n and f), with
+    phi = 0 and n = 0 when not given.  A label given to a family that does
+    not carry it is a UsageError, and so is a carried f that is not given.
     """
     cls, fixed = FAMILIES[family]
-    carried = {f.name: labels.get(f.name) for f in fields(cls)[2:]} | fixed
-    for name, value in carried.items():
+    carried = [f.name for f in fields(cls)[2:] if f.name not in fixed]
+    for name, value in labels.items():
+        if value is not None and name not in carried:
+            raise UsageError(f"--{name} does not apply to {family} waves")
+    values = {name: _LABEL_DEFAULTS.get(name) if labels.get(name) is None else labels[name]
+              for name in carried}
+    for name, value in values.items():
         if value is None:
             raise UsageError(f"label {name} is required for {family} waves")
-    return cls(k, theta, **carried)
+    return cls(k, theta, **values, **fixed)
 
 
 @dataclass(frozen=True)
@@ -307,7 +345,8 @@ def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None
 
     Samples sit at x0 + j*dx, y0 + i*dy; when x0/y0 are omitted the grid is
     centred on the origin.  A family may refuse samples outside its
-    supported range: elliptic waves name the first offending sample index.
+    supported range: elliptic waves name the first offending sample index,
+    and Bessel waves refuse |n| > 200 or k_t r > 1e4 as ``bessel_j`` does.
     """
     nx, ny = int(nx), int(ny)
     if description is None:
@@ -316,6 +355,5 @@ def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None
     x0, y0 = FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, meta)  # before any sample is computed
     x = x0 + dx * np.arange(nx)
     y = y0 + dy * np.arange(ny)
-    X, Y = np.meshgrid(x, y)
-    vals = label.field(X, Y, z)
+    vals = label.sample(x, y, z)
     return FieldGrid(nx, ny, float(dx), float(dy), float(x0), float(y0), vals, meta)

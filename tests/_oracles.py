@@ -36,6 +36,33 @@ def bisect_root(fn, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+# ------------------------------------------------------ ring extraction
+
+def ring_direct(fieldgrid, m, window):
+    """Ring samples by the full complex-exponential sum over every grid sample.
+
+    sqrt(sin theta) dx dy e^{-i k_z z} sum_ij w_ij v_ij e^{-i (kx_m x_j + ky_m y_i)}
+    at kx_m + i ky_m = k_t e^{i phi_m}, phi_m = -pi + 2 pi m / M, with w the
+    rotationally symmetric Hann window about the grid centre (or 1).
+    """
+    meta = fieldgrid.meta
+    x, y = fieldgrid.x(), fieldgrid.y()
+    vals = fieldgrid.values
+    if window == "hann":
+        cx, cy = 0.5 * (x[0] + x[-1]), 0.5 * (y[0] + y[-1])
+        radius = min(x[-1] - cx, y[-1] - cy)
+        r = np.hypot(*np.meshgrid(x - cx, y - cy)) / radius
+        vals = vals * np.where(r <= 1.0, 0.5 * (1.0 + np.cos(math.pi * np.minimum(r, 1.0))), 0.0)
+    phi = -math.pi + 2.0 * math.pi * np.arange(m) / m
+    kx = meta.kt * np.cos(phi)
+    ky = meta.kt * np.sin(phi)
+    ax = np.exp(-1j * np.outer(x, kx))
+    by = np.exp(-1j * np.outer(y, ky))
+    sums = np.einsum("jm,jm->m", by, vals @ ax)
+    weight = math.sqrt(math.sin(meta.theta)) * fieldgrid.dx * fieldgrid.dy
+    return weight * np.exp(-1j * meta.kz * meta.z_plane) * sums
+
+
 # ------------------------------------------------- Mathieu eigenproblem
 
 def mathieu_matrix(parity, n, q, size):

@@ -19,7 +19,9 @@ from wavemom.spectral import (
     ring_spectrum_from_grid,
 )
 from wavemom.specfun import mathieu_eigen, mathieu_norm_constant
-from wavemom.waves import BesselWave, MathieuWave, PlaneWave, sample_grid
+from wavemom.waves import BesselWave, FieldGrid, GridMeta, MathieuWave, PlaneWave, sample_grid
+
+from _oracles import ring_direct
 
 K = 2.0 * math.pi
 M = 1024
@@ -53,6 +55,34 @@ def test_plane_wave_ring_peaks_at_nearest_azimuth():
     ring = ring_spectrum_from_grid(g, M)
     peak = PHI[int(np.argmax(np.abs(ring.samples)))]
     assert abs(peak - phi0) <= 2.0 * math.pi / M
+
+
+def test_plane_wave_ring_is_not_mirrored():
+    # an x/y swap or a flipped sign would move the peak to pi/2 - phi0, -phi0,
+    # pi - phi0 or phi0 - pi
+    phi0, m = 0.7, 256
+    w = PlaneWave(K, 0.4, phi0)
+    g = sample_grid(w, 64, 48, 0.3, 0.25, x0=-3.7, y0=2.1, z=0.4)
+    ring = ring_spectrum_from_grid(g, m)
+    nearest = int(np.argmin(np.abs(ring_azimuths(m) - phi0)))
+    assert int(np.argmax(np.abs(ring.samples))) == nearest
+
+
+@pytest.mark.parametrize("m", [256, 1024, 4096])
+@pytest.mark.parametrize("window", ["none", "hann"])
+def test_ring_matches_direct_exponential_sum(m, window):
+    # the largest phase k_t (|x| + |y|) stays below ~200 rad: beyond that the
+    # direct formula's own phase rounding approaches 1e-13 of the largest sample
+    rng = np.random.default_rng(m + len(window))
+    for nx, ny in ((16, 16), (17, 40), (48, 33), (45, 22)):
+        meta = GridMeta(K, rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0))
+        dx, dy = rng.uniform(0.2, 0.7, size=2) * math.pi / meta.kt
+        x0, y0 = rng.uniform(-1.0, 0.2, size=2) * (nx * dx, ny * dy)
+        values = rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx))
+        g = FieldGrid(nx, ny, dx, dy, x0, y0, values, meta)
+        direct = ring_direct(g, m, window)
+        ring = ring_spectrum_from_grid(g, m, window)
+        assert np.abs(ring.samples - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
 def test_bessel_ring_profile_angular_structure():

@@ -1,12 +1,15 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wavemom import waves
 from wavemom.errors import RangeError
 from wavemom.specfun import (
+    bessel_j,
     mathieu_ce,
     mathieu_ce_radial,
     mathieu_norm_constant,
@@ -227,6 +230,63 @@ def test_sample_grid_matches_pointwise_eval():
     for i, j in ((0, 0), (7, 3), (15, 15)):
         assert g.values[i, j] == pytest.approx(
             w.field(x[j], y[i], 0.1), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(-5, 6))
+def test_bessel_grid_synthesis_matches_closed_form(n):
+    # BesselWave.field (bessel_j at each point) is the oracle for the grid synthesised
+    # from the ring profile.  The second grid's far corner sits at k_t r = 161, just
+    # inside the largest k_t r (161.37 at |n| = 5) that M = 256 ring samples cover
+    # with an aliasing bound <= 1e-16, so the corners test that bound at its tightest.
+    w = BesselWave(2.0 * math.pi, 0.3, n)
+    y_far = math.sqrt((161.0 / w.kt) ** 2 - 60.0 ** 2)  # far corner (60, y_far)
+    for nx, ny, dx, dy, x0, y0, z in ((40, 33, 0.07, 0.09, -1.1, -0.8, 0.37),
+                                      (64, 48, 70.0 / 63, (y_far + 5.0) / 47, -10.0, -5.0, -1.3)):
+        g = sample_grid(w, nx, ny, dx, dy, x0=x0, y0=y0, z=z)
+        ref = w.field(*np.meshgrid(g.x(), g.y()), z)
+        assert np.abs(g.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_bessel_synthesis_ring_size(monkeypatch):
+    sizes = []
+    analytic_ring = waves.analytic_ring
+    monkeypatch.setattr(waves, "analytic_ring", lambda label, m: sizes.append(m) or analytic_ring(label, m))
+    w = BesselWave(2.0 * math.pi, 0.3, 5)
+    # at |n| = 5 the bound 2 (z/2)^251 / 251! of M = 256 reaches 1e-16 at z = 161.37
+    for reach in (84.0, 161.3, 161.5, 9.9e3):
+        w.sample(np.array([0.0, reach / w.kt]), np.array([0.0]), 0.0)
+    assert sizes == [256, 256, 512, 16384]
+
+
+def test_bessel_synthesis_refuses_what_bessel_j_refuses(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("ring tables built for a refused wave")
+
+    monkeypatch.setattr(waves, "field_from_ring", no_tables)
+    k, theta = 2.0 * math.pi, 0.3
+    for n, reach in ((201, 1.0), (-201, 1.0), (3, 1.0001e4)):
+        w = BesselWave(k, theta, n)
+        with pytest.raises(RangeError) as expected:
+            bessel_j(n, reach)
+        with pytest.raises(RangeError) as refused:
+            w.sample(np.array([-reach / w.kt, 0.0]), np.array([0.0]), 0.0)
+        assert str(refused.value) == str(expected.value)
+
+
+def test_bessel_synthesis_memory_is_tiled():
+    # k_t r reaches 9.5e3 at the ends of a 1024 x 16 strip, so the ring holds
+    # M = 16384 samples; whole cos/sin tables of the x axis alone would take 67 MB
+    w = BesselWave(2.0 * math.pi, 0.3, 3)
+    dx = 2.0 * 9.5e3 / w.kt / 1023
+    tracemalloc.start()
+    try:
+        g = sample_grid(w, 1024, 16, dx, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    ref = w.field(*np.meshgrid(g.x(), g.y()), 0.0)
+    assert np.abs(g.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_mathieu_grid_range_error_names_sample():
