@@ -71,7 +71,11 @@ def oam_mathieu_paper(parity, n, q):
 def _lz(values, x, y, dx, dy):
     """-i (x d/dy - y d/dx) by centred differences; the border samples are not centred."""
     d_dy, d_dx = np.gradient(values, dy, dx)
-    return -1j * (x[None, :] * d_dy - y[:, None] * d_dx)
+    # in place on the two gradient arrays: no temporaries the size of the grid
+    np.multiply(x[None, :], d_dy, out=d_dy)
+    np.multiply(y[:, None], d_dx, out=d_dx)
+    np.subtract(d_dy, d_dx, out=d_dy)
+    return np.multiply(-1j, d_dy, out=d_dy)
 
 
 def grid_mean(fieldgrid, op, f=None):
@@ -104,9 +108,11 @@ def grid_mean(fieldgrid, op, f=None):
     else:
         if f is None or not f > 0.0:
             raise RangeError("the elliptic operator needs a positive semi-focal distance f")
-        lz2 = _lz(_lz(v, x, y, dx, dy), x, y, dx, dy)
-        px2 = -np.gradient(np.gradient(v, dx, axis=1), dx, axis=1)
-        applied = lz2 + f * f * px2
+        applied = _lz(_lz(v, x, y, dx, dy), x, y, dx, dy)
+        px2 = np.gradient(np.gradient(v, dx, axis=1), dx, axis=1)
+        np.negative(px2, out=px2)
+        np.multiply(f * f, px2, out=px2)
+        np.add(applied, px2, out=applied)   # lz^2 + (f f) (-d^2/dx^2)
 
     inner = (slice(border, -border),) * 2
     core = v[inner]

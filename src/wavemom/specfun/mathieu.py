@@ -33,6 +33,7 @@ capped where double precision still leaves ~7 digits after cancellation.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -46,6 +47,10 @@ MAX_Q = 1.0e6
 _TAIL_TOL = 1e-14          # truncation criterion on the last eigenvector entry
 _RESCALE = 1e250           # backward-recurrence overflow guard
 _N_CAP = 2048
+
+# held across every cache lookup, so two threads missing the same key do not
+# both solve it (lru_cache alone lets each store and return its own result)
+_CACHE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -152,17 +157,34 @@ def _refine_tail(diag, offd, a, vec):
 
 
 def _solve(mcls, n, q, size):
-    import scipy.linalg  # here, not at module level: start-up stays numpy-only
+    """Eigenpair of rank (n - first harmonic) / 2 of the size x size recurrence matrix.
 
+    The eigenvector of a low rank decays fast beyond its peak, so a dense
+    leading block of the matrix already holds it: the block starts at
+    2 rank + 32 rows and doubles until the last entry of its eigenvector is
+    below _TAIL_TOL of the largest, or until it is the whole matrix.  The
+    eigenvector comes back zero-padded to size.
+    """
     rank = (n - mcls.first_harmonic) // 2
     d, e = _tridiagonal(mcls, q, size)
-    try:
-        w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(rank, rank))
-    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
-        raise NumericalError(
-            f"tridiagonal eigensolver failed for {mcls.parity} n={n} q={q}: {exc}"
-        ) from exc
-    return float(w[0]), v[:, 0].copy(), d, e
+    block = min(size, max(32, 2 * rank + 32))
+    while True:
+        mat = np.zeros((block, block))
+        mat.flat[::block + 1] = d[:block]
+        mat.flat[block::block + 1] = e[:block - 1]   # eigh reads the lower triangle
+        try:
+            w, v = np.linalg.eigh(mat)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"tridiagonal eigensolver failed for {mcls.parity} n={n} q={q}: {exc}"
+            ) from exc
+        head = v[:, rank]
+        if block == size or abs(head[-1]) < _TAIL_TOL * np.abs(head).max():
+            break
+        block = min(2 * block, size)
+    vec = np.zeros(size)
+    vec[:block] = head
+    return float(w[rank]), vec, d, e
 
 
 @lru_cache(maxsize=512)
@@ -206,7 +228,8 @@ def mathieu_eigen(parity, n, q):
 
     The eigenpair is selected by eigenvalue rank within the symmetry class
     of (parity, n).  Results are cached on (parity, n, q) with the exact
-    float q; the cache is safe for concurrent readers.
+    float q; the cache is safe for concurrent readers: each key is solved
+    once and every caller gets the same object.
     """
     mcls = MathieuClass.from_order(parity, n)  # validates parity and order
     q = float(q)
@@ -214,41 +237,50 @@ def mathieu_eigen(parity, n, q):
         raise RangeError(f"separation parameter q must be finite and >= 0, got {q}")
     if q > MAX_Q:
         raise RangeError(f"q = {q:g} exceeds supported maximum {MAX_Q:g}")
-    return _eigen_cached(mcls, int(n), q)
+    with _CACHE_LOCK:
+        return _eigen_cached(mcls, int(n), q)
 
 
-def _series(harmonics, coeffs, u, term):
-    """sum_j coeffs[j] * term(h_j, h_j * u), added one harmonic at a time in index order.
+def _series(harmonics, coeffs, u, func, weight=0):
+    """sum_j coeffs[j] * func(h_j * u), added one harmonic at a time in index order.
 
-    A scalar u gives a float and an array u an array of its shape; the
-    working memory is a few arrays the size of u, whatever the number of
-    harmonics.
+    A nonzero weight (+1 or -1) multiplies each term by weight * h_j, the
+    factor term-by-term differentiation brings down.  A scalar u gives a
+    float and an array u an array of its shape; each term is formed in place
+    in one buffer, so the working memory is two arrays the size of u,
+    whatever the number of harmonics.
     """
     u = np.asarray(u, dtype=float)
     acc = np.zeros(u.shape)
+    term = np.empty(u.shape)
     for h, c in zip(harmonics.astype(float), coeffs):
-        acc += c * term(h, h * u)
+        np.multiply(h, u, out=term)
+        func(term, out=term)
+        if weight:
+            np.multiply(weight * h, term, out=term)
+        np.multiply(c, term, out=term)
+        acc += term
     return float(acc) if acc.ndim == 0 else acc
 
 
 def mathieu_ce(n, q, eta):
     """Even (cosine-series) angular Mathieu function ce_n(eta; q)."""
     eig = mathieu_eigen("even", n, q)
-    return _series(eig.harmonics, eig.coeffs, eta, lambda h, arg: np.cos(arg))
+    return _series(eig.harmonics, eig.coeffs, eta, np.cos)
 
 
 def mathieu_se(n, q, eta):
     """Odd (sine-series) angular Mathieu function se_n(eta; q)."""
     eig = mathieu_eigen("odd", n, q)
-    return _series(eig.harmonics, eig.coeffs, eta, lambda h, arg: np.sin(arg))
+    return _series(eig.harmonics, eig.coeffs, eta, np.sin)
 
 
 def mathieu_angular_derivative(parity, n, q, eta):
     """First derivative of ce_n or se_n, term-by-term on the series."""
     eig = mathieu_eigen(parity, n, q)
     if parity == "even":
-        return _series(eig.harmonics, eig.coeffs, eta, lambda h, arg: -h * np.sin(arg))
-    return _series(eig.harmonics, eig.coeffs, eta, lambda h, arg: h * np.cos(arg))
+        return _series(eig.harmonics, eig.coeffs, eta, np.sin, weight=-1)
+    return _series(eig.harmonics, eig.coeffs, eta, np.cos, weight=1)
 
 
 def radial_xi_max(q):
@@ -300,7 +332,7 @@ def _radial(parity, n, q, xi):
         )
     keep = bound >= top - 46.0
     hyp = np.cosh if parity == "even" else np.sinh
-    return _series(h[keep], eig.coeffs[keep], xi, lambda h, arg: hyp(arg))
+    return _series(h[keep], eig.coeffs[keep], xi, hyp)
 
 
 def mathieu_ce_radial(n, q, xi):

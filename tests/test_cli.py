@@ -260,8 +260,8 @@ def _scipy_after(commands):
 
 
 def test_start_up_does_not_import_scipy(tmp_path):
-    # only the Mathieu eigensolver and the pointwise bessel_j call scipy; Bessel
-    # grids are synthesised from their ring profile, so gen --family bessel loads none
+    # only the pointwise bessel_j oracle calls scipy; Bessel grids are synthesised
+    # from their ring profile and the Mathieu eigensolver is numpy's dense eigh
     assert _scipy_after([]) == []
     field = tmp_path / "plane.hwmf"
     assert _scipy_after([
@@ -272,8 +272,14 @@ def test_start_up_does_not_import_scipy(tmp_path):
     assert _scipy_after([
         ["gen", "--family", "bessel", "--k", K, "--theta", THETA, "--n", 2, "--grid", "32,32",
          "--out", tmp_path / "bessel.hwmf"]]) == []
-    assert "scipy.linalg" in _scipy_after([
-        ["mathieu-table", "--parity", "even", "--n", 2, "--q", 1, "--out", tmp_path / "table.csv"]])
+    ellipse = tmp_path / "ellipse.hwmf"
+    assert _scipy_after([
+        ["mathieu-table", "--parity", "even", "--n", 2, "--q", 1, "--out", tmp_path / "table.csv"],
+        ["gen", "--family", "mathieu-even", "--k", K, "--theta", ELL_THETA, "--n", 2,
+         "--f", ELL_F, "--grid", "32,32", "--dx", 0.06, "--out", ellipse],
+        ["momenta", "--in", ellipse, "--methods", "spectral,grid,paper", "--f", ELL_F,
+         "--parity", "even", "--n", 2, "--out", tmp_path / "ellipse.json"],
+    ]) == []
 
 
 def test_csv_ingestion_path(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -82,6 +84,35 @@ def test_against_scipy(q):
         assert ours == pytest.approx(float(special.mathieu_b(n, q)), abs=2e-9)
 
 
+# characteristic values of the truncated recurrence matrices the solver builds
+# (their size is the truncation), from a 40-digit mpmath eigsy of the same
+# double entries
+MPMATH_CHAR_VALUES = (
+    ("even", 0, 1.0, 32, -0.4551386041074136045977),
+    ("even", 2, 1.0, 32, 4.371300982735085717417),
+    ("odd", 1, 1.0, 32, -0.1102488169920951699065),
+    ("even", 2, 4.0, 33, 6.829074834566389858938),
+    ("odd", 1, 0.37, 32, 0.6136648892667276587388),
+    ("even", 2, 2.718, 33, 5.803488128194736450464),
+)
+
+
+@pytest.mark.parametrize("parity,n,q,size,ref", MPMATH_CHAR_VALUES)
+def test_char_value_to_working_precision(parity, n, q, size, ref):
+    eig = mathieu_eigen(parity, n, q)
+    assert eig.truncation == size
+    assert abs(eig.char_value - ref) <= 4e-15 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("parity", ("even", "odd"))
+@pytest.mark.parametrize("q", (0.0, 1.0, 1e2, 1e4, 1e6))
+def test_char_value_against_tridiagonal_oracle(parity, q):
+    for n in (1, 2, 10, 50, 200, 500):
+        eig = mathieu_eigen(parity, n, q)
+        ref = mathieu_char_value(parity, n, q, eig.truncation)
+        assert abs(eig.char_value - ref) <= 1e-12 * max(1.0, abs(ref)), (parity, n, q)
+
+
 @pytest.mark.parametrize("q", QS)
 def test_normalisation_identity(q):
     for parity, orders in (("even", range(0, 9)), ("odd", range(1, 9))):
@@ -143,6 +174,30 @@ def test_cache_rounding_and_concurrency():
         results = list(pool.map(lambda _: mathieu_eigen("odd", 3, 2.5), range(64)))
     assert all(r is results[0] for r in results)
     assert not results[0].coeffs.flags.writeable
+
+
+def test_concurrent_misses_share_one_solve():
+    # 8 threads released together onto each of 200 keys no other test uses
+    keys = [("even" if k % 2 else "odd", 1 + k % 9, 3.0 + 0.0173 * k + 1e-9) for k in range(200)]
+    barrier = threading.Barrier(8, timeout=60)
+
+    def worker(_):
+        got = []
+        for key in keys:
+            barrier.wait()
+            got.append(mathieu_eigen(*key))
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            runs = list(pool.map(worker, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    split = [key for key, per_key in zip(keys, zip(*runs))
+             if any(r is not per_key[0] for r in per_key)]
+    assert split == []
 
 
 def test_truncation_grows_with_q():

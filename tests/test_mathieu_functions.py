@@ -164,6 +164,24 @@ def test_series_evaluator_contract(fn, radial):
             fn(u)
 
 
+@pytest.mark.parametrize("parity,fn,term", [
+    ("even", lambda u: mathieu_ce(7, 9.0, u), lambda h, arg: np.cos(arg)),
+    ("odd", lambda u: mathieu_se(7, 9.0, u), lambda h, arg: np.sin(arg)),
+    ("even", lambda u: mathieu_angular_derivative("even", 7, 9.0, u),
+     lambda h, arg: -h * np.sin(arg)),
+    ("odd", lambda u: mathieu_angular_derivative("odd", 7, 9.0, u),
+     lambda h, arg: h * np.cos(arg)),
+], ids=["ce", "se", "ce-derivative", "se-derivative"])
+def test_series_equals_plain_sum(parity, fn, term):
+    # the in-place evaluator does the plain sum's operations in its order
+    eig = mathieu_eigen(parity, 7, 9.0)
+    u = np.linspace(-4.0, 4.0, 1001)
+    plain = np.zeros(u.shape)
+    for h, c in zip(eig.harmonics.astype(float), eig.coeffs):
+        plain += c * term(h, h * u)
+    assert np.array_equal(fn(u), plain)
+
+
 # ------------------------------------------------------------- radial
 
 def test_radial_q_to_zero_limit():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,20 @@ def test_grid_mean_errors():
         g, values=rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
     with pytest.raises(NumericalError):
         grid_mean(noisy, "lz")
+
+
+@pytest.mark.parametrize("op,f,bound", [("lz", None, 3.5), ("elliptic", 0.7, 4.5)])
+def test_grid_mean_working_memory(op, f, bound):
+    # np.gradient's outputs are combined in place, so lz holds its two gradients
+    # and the composed operator one lz^2 array more (plus np.gradient's temporaries)
+    g = sample_grid(BesselWave(K, 0.3, 2), 512, 512, 0.05, 0.05)
+    tracemalloc.start()
+    try:
+        grid_mean(g, op, f=f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * g.values.nbytes
 
 
 # ------------------------------------------------------ elliptic invariant
