@@ -47,6 +47,7 @@ MAX_Q = 1.0e6
 _TAIL_TOL = 1e-14          # truncation criterion on the last eigenvector entry
 _RESCALE = 1e250           # backward-recurrence overflow guard
 _N_CAP = 2048
+_CHUNK = 2 ** 13           # samples per block of the angular series
 
 # held across every cache lookup, so two threads missing the same key do not
 # both solve it (lru_cache alone lets each store and return its own result)
@@ -241,23 +242,75 @@ def mathieu_eigen(parity, n, q):
         return _eigen_cached(mcls, int(n), q)
 
 
-def _series(harmonics, coeffs, u, func, weight=0):
-    """sum_j coeffs[j] * func(h_j * u), added one harmonic at a time in index order.
+def _fourier(first, coeffs, u, sine):
+    """sum_j coeffs[j] cos(h_j u), or sin(h_j u) if sine, with h_j = first + 2 j.
 
-    A nonzero weight (+1 or -1) multiplies each term by weight * h_j, the
-    factor term-by-term differentiation brings down.  A scalar u gives a
-    float and an array u an array of its shape; each term is formed in place
-    in one buffer, so the working memory is two arrays the size of u,
-    whatever the number of harmonics.
+    Horner's rule in z = e^{2iu}: the sum is the real (cos) or imaginary
+    (sin) part of e^{i first u} P(z), where P has the coefficients c_j.  An
+    even first harmonic enters P as leading zero coefficients, so the
+    transcendentals per sample are cos 2u and sin 2u, plus cos u and sin u
+    for odd harmonics.  The complex products are done on (real, imaginary)
+    float pairs one elementwise ufunc at a time, so every sample gets the
+    same operations whatever its position in u.  Samples are processed in
+    blocks of _CHUNK: the working memory is the output plus five block-sized
+    buffers.  A scalar u gives a float and an array u an array of its shape.
     """
+    coeffs = np.concatenate((np.zeros(first // 2), coeffs))
     u = np.asarray(u, dtype=float)
-    acc = np.zeros(u.shape)
-    term = np.empty(u.shape)
+    out = np.empty(u.shape)
+    flat_u = u.reshape(-1)
+    flat_out = out.reshape(-1)
+    buffers = np.empty((5, min(_CHUNK, flat_u.size)))
+    for i0 in range(0, flat_u.size, _CHUNK):
+        ub = flat_u[i0:i0 + _CHUNK]
+        ob = flat_out[i0:i0 + _CHUNK]
+        zr, zi, pr, pi, tmp = buffers[:, :len(ub)]
+        np.multiply(2.0, ub, out=tmp)
+        np.cos(tmp, out=zr)
+        np.sin(tmp, out=zi)
+        pr.fill(coeffs[-1])
+        pi.fill(0.0)
+        for c in coeffs[-2::-1]:
+            # (pr, pi) <- (pr, pi) z + c, with ob as scratch
+            np.multiply(pi, zi, out=tmp)
+            np.multiply(pi, zr, out=pi)
+            np.multiply(pr, zi, out=ob)
+            np.add(pi, ob, out=pi)
+            np.multiply(pr, zr, out=pr)
+            np.subtract(pr, tmp, out=pr)
+            np.add(pr, c, out=pr)
+        if first % 2:
+            # times e^{iu}; zr and zi are free again
+            np.cos(ub, out=zr)
+            np.sin(ub, out=zi)
+            if sine:
+                np.multiply(pr, zi, out=tmp)
+                np.multiply(pi, zr, out=ob)
+                np.add(tmp, ob, out=ob)
+            else:
+                np.multiply(pr, zr, out=tmp)
+                np.multiply(pi, zi, out=ob)
+                np.subtract(tmp, ob, out=ob)
+        else:
+            ob[...] = pi if sine else pr
+    return float(out) if out.ndim == 0 else out
+
+
+def _series(harmonics, coeffs, xi, func):
+    """sum_j coeffs[j] * func(h_j * xi) for cosh or sinh, one harmonic at a time.
+
+    The radial sums stay per harmonic: Horner's rule in e^{+-2 xi} would
+    lose relative accuracy for sinh series near xi = 0, where the growing
+    and decaying halves cancel.  A scalar xi gives a float and an array xi
+    an array of its shape; each term is formed in place in one buffer, so
+    the working memory is two arrays the size of xi.
+    """
+    xi = np.asarray(xi, dtype=float)
+    acc = np.zeros(xi.shape)
+    term = np.empty(xi.shape)
     for h, c in zip(harmonics.astype(float), coeffs):
-        np.multiply(h, u, out=term)
+        np.multiply(h, xi, out=term)
         func(term, out=term)
-        if weight:
-            np.multiply(weight * h, term, out=term)
         np.multiply(c, term, out=term)
         acc += term
     return float(acc) if acc.ndim == 0 else acc
@@ -266,21 +319,22 @@ def _series(harmonics, coeffs, u, func, weight=0):
 def mathieu_ce(n, q, eta):
     """Even (cosine-series) angular Mathieu function ce_n(eta; q)."""
     eig = mathieu_eigen("even", n, q)
-    return _series(eig.harmonics, eig.coeffs, eta, np.cos)
+    return _fourier(eig.mathieu_class.first_harmonic, eig.coeffs, eta, sine=False)
 
 
 def mathieu_se(n, q, eta):
     """Odd (sine-series) angular Mathieu function se_n(eta; q)."""
     eig = mathieu_eigen("odd", n, q)
-    return _series(eig.harmonics, eig.coeffs, eta, np.sin)
+    return _fourier(eig.mathieu_class.first_harmonic, eig.coeffs, eta, sine=True)
 
 
 def mathieu_angular_derivative(parity, n, q, eta):
     """First derivative of ce_n or se_n, term-by-term on the series."""
     eig = mathieu_eigen(parity, n, q)
+    weighted = eig.harmonics * eig.coeffs
     if parity == "even":
-        return _series(eig.harmonics, eig.coeffs, eta, np.sin, weight=-1)
-    return _series(eig.harmonics, eig.coeffs, eta, np.cos, weight=1)
+        return _fourier(eig.mathieu_class.first_harmonic, -weighted, eta, sine=True)
+    return _fourier(eig.mathieu_class.first_harmonic, weighted, eta, sine=False)
 
 
 def radial_xi_max(q):
@@ -302,6 +356,13 @@ def radial_xi_max(q):
 
 
 def _radial(parity, n, q, xi):
+    """Ce_n (even) or Se_n (odd) at xi >= 0 by the per-harmonic _series.
+
+    Refuses xi beyond radial_xi_max(q), naming the first such sample, and
+    a sum whose largest term bound |c_j| e^(h_j xi) exceeds e^700; terms
+    whose bound is below e^-46 of the largest are dropped, since they
+    cannot reach the sum's last bit.
+    """
     eig = mathieu_eigen(parity, n, q)
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0.0):

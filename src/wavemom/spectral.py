@@ -95,7 +95,8 @@ class OamSpectrum:
         return complex(self.coeffs[n - self.n_min])
 
 
-def _window_2d(fieldgrid, window):
+def _window_rows(fieldgrid, window):
+    """The window's weights as a function of a row range (i0, i1); None for no window."""
     if window == "none":
         return None
     if window == "hann":
@@ -107,8 +108,12 @@ def _window_2d(fieldgrid, window):
         cx = 0.5 * (x[0] + x[-1])
         cy = 0.5 * (y[0] + y[-1])
         radius = min(x[-1] - cx, y[-1] - cy)
-        r = np.hypot(*np.meshgrid(x - cx, y - cy))
-        return np.where(r <= radius, 0.5 * (1.0 + np.cos(math.pi * np.minimum(r / radius, 1.0))), 0.0)
+        x_c = x - cx
+
+        def rows(i0, i1):
+            r = np.hypot(*np.meshgrid(x_c, y[i0:i1] - cy))
+            return np.where(r <= radius, 0.5 * (1.0 + np.cos(math.pi * np.minimum(r / radius, 1.0))), 0.0)
+        return rows
     raise RangeError(f"unknown window {window!r}; use 'none' or 'hann'")
 
 
@@ -154,8 +159,9 @@ def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
     ring's symmetries reduce the exponentials to real cos/sin tables of
     M/4 + 1 wavenumbers per axis, summed as real matrix products over
     fixed blocks of _BLOCK grid rows in a fixed order, so results are
-    reproducible bit for bit.  The slice plane's axial phase is removed,
-    making spectra of different z planes identical.  The transverse
+    reproducible bit for bit; a window is built one block at a time too.
+    The slice plane's axial phase is removed, making spectra of different
+    z planes identical.  The transverse
     wavenumber must stay below the grid Nyquist limit pi / max(dx, dy).
     """
     _check_ring_size(m)
@@ -168,15 +174,15 @@ def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
             f"Nyquist limit {nyquist:g}; refine the sampling"
         )
     vals = fieldgrid.values
-    w2d = _window_2d(fieldgrid, window)
+    window_rows = _window_rows(fieldgrid, window)
     kappa = _kappa(kt, m)
     tx = _tables(fieldgrid.x(), kappa).reshape(fieldgrid.nx, -1)     # (nx, 2 (M/4+1))
     y = fieldgrid.y()
     acc = np.zeros((2, len(kappa), 2, 2))
     for i0 in range(0, fieldgrid.ny, _BLOCK):
         rows = vals[i0:i0 + _BLOCK]
-        if w2d is not None:
-            rows = rows * w2d[i0:i0 + _BLOCK]
+        if window_rows is not None:
+            rows = rows * window_rows(i0, i0 + _BLOCK)
         parts = (np.concatenate((rows.real, rows.imag)) @ tx).reshape(2, len(rows), 2, -1)
         acc += np.einsum("pial,ibl->plab", parts, _tables(y[i0:i0 + _BLOCK], kappa[::-1]))
     index, sigma = _quarter(m)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
+import wavemom.specfun.mathieu as mathieu_module
 from wavemom.errors import DomainError, RangeError
 from wavemom.specfun import (
     mathieu_angular_derivative,
@@ -17,6 +19,7 @@ from wavemom.specfun import (
     mathieu_se_radial,
     radial_xi_max,
 )
+from wavemom.specfun.mathieu import MathieuClass, MathieuEigen
 
 from _oracles import norm_constant_recomposed, rk4_second_order
 
@@ -164,22 +167,163 @@ def test_series_evaluator_contract(fn, radial):
             fn(u)
 
 
-@pytest.mark.parametrize("parity,fn,term", [
-    ("even", lambda u: mathieu_ce(7, 9.0, u), lambda h, arg: np.cos(arg)),
-    ("odd", lambda u: mathieu_se(7, 9.0, u), lambda h, arg: np.sin(arg)),
-    ("even", lambda u: mathieu_angular_derivative("even", 7, 9.0, u),
-     lambda h, arg: -h * np.sin(arg)),
-    ("odd", lambda u: mathieu_angular_derivative("odd", 7, 9.0, u),
-     lambda h, arg: h * np.cos(arg)),
-], ids=["ce", "se", "ce-derivative", "se-derivative"])
-def test_series_equals_plain_sum(parity, fn, term):
-    # the in-place evaluator does the plain sum's operations in its order
-    eig = mathieu_eigen(parity, 7, 9.0)
-    u = np.linspace(-4.0, 4.0, 1001)
-    plain = np.zeros(u.shape)
-    for h, c in zip(eig.harmonics.astype(float), eig.coeffs):
-        plain += c * term(h, h * u)
-    assert np.array_equal(fn(u), plain)
+# Coefficient vectors built by correctly rounded float arithmetic alone, so the
+# references below hold on every platform; LONG spreads over many harmonics
+# like the coefficients of a large q.
+SHORT = [(-1) ** j * (j + 3) / ((j + 1) * (j + 1) * (j + 2)) for j in range(9)]
+LONG = [(1 + j % 5) * (-1) ** (j // 4) / (1 + ((j - 150) / 40) * ((j - 150) / 40))
+        for j in range(320)]
+POINTS = np.array([0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2, 0.3, 1.1, -2.2,
+                   2.7, 5.0, 1e-3])
+
+# series -> (parity, order, first harmonic, derivative)
+SERIES = {
+    "ce": ("even", 2, 0, False),
+    "se": ("odd", 1, 1, False),
+    "ce-derivative": ("even", 1, 1, True),
+    "se-derivative": ("odd", 2, 2, True),
+}
+
+# sum_j c_j cos(h_j u), sin(h_j u) or their derivatives at POINTS, for
+# h_j = first + 2 j, from a 40-digit mpmath evaluation of the same double
+# coefficients and points, stored as double-double (hi, lo) pairs
+REFERENCES = {
+    ("short", "ce"): [
+        (1.2646545099521291, -1.0408340855860843e-16), (1.2646545099521291, -1.0408340855860844e-16),
+        (1.2646545099521291, -1.0408340855860844e-16), (2.179535462333081, 2.1510571102112403e-16),
+        (2.179535462333081, 2.1510571102112403e-16), (1.2783832670662831, 3.2539909738422455e-17),
+        (1.583557605616115, -1.0212569366606964e-16), (1.4576498211778268, 2.5950622110280714e-17),
+        (1.2987512027010473, 1.224082106334897e-17), (1.7286812610751658, -7.048362618959509e-17),
+        (1.2646538195530745, -2.490223046280058e-17),
+    ],
+    ("short", "se"): [
+        (0.0, 0.0), (1.2358584575639616e-16, -1.836120749745105e-33),
+        (-1.2358584575639616e-16, 1.836120749745105e-33), (2.179535462333081, 2.1510571102112403e-16),
+        (-2.179535462333081, -2.1510571102112403e-16), (0.2695314696360851, -1.8262319876398976e-17),
+        (1.2432008759824427, -3.610941046084121e-18), (-0.9820408476373909, 3.071582855581198e-17),
+        (0.41763459145831133, 3.654255284164425e-18), (-1.5466459408814204, -4.5204948324191745e-17),
+        (0.001009149269039981, -3.3273986620548605e-20),
+    ],
+    ("short", "ce-derivative"): [
+        (0.0, 0.0), (-2.6140034245175204e-16, -1.5996479302118586e-32),
+        (2.6140034245175204e-16, 1.5996479302118586e-32), (-5.2784010456034265, -4.8572257327350025e-17),
+        (5.2784010456034265, 4.8572257327350025e-17), (0.030390791004351388, 3.296538222135621e-20),
+        (-0.896147975905905, -2.75137265427469e-17), (0.2459583101103386, -1.0589010232263505e-17),
+        (-0.21372426763384705, 1.0587198128869993e-17), (0.9421706598117259, -1.827280276258157e-17),
+        (-0.0021343901675307435, 3.941353620220944e-20),
+    ],
+    ("short", "se-derivative"): [
+        (2.273809523809524, -1.8041124150158794e-16), (2.273809523809524, -1.8041124150158828e-16),
+        (2.273809523809524, -1.8041124150158828e-16), (-7.457936507936508, 1.8041124150158873e-16),
+        (-7.457936507936508, 1.8041124150158873e-16), (2.098848116779431, 9.528537808339966e-18),
+        (-0.6340599827357413, 4.752315583422938e-17), (0.46659098410507444, 2.1821904484688565e-17),
+        (1.735807679625223, 1.0963866633628697e-16), (-1.5947759147507494, 1.1427497132519305e-17),
+        (2.273786941890695, -1.1616523098326206e-16),
+    ],
+    ("long", "ce"): [
+        (0.09775516193045819, -6.938893903907228e-18), (0.09775516193045819, -6.9388939029242075e-18),
+        (0.09775516193045819, -6.9388939029242075e-18), (0.07802655623402588, 6.938893903641779e-18),
+        (0.07802655623402588, 6.938893903641779e-18), (1.0316565998823553, 1.568725886235845e-17),
+        (-0.24344090712821317, -1.332991178447406e-18), (0.22846366012810213, -1.0578929762153515e-17),
+        (-5.258070012603288, -2.4437988478811005e-16), (0.01954091182866824, 8.752165256664301e-20),
+        (0.16110037822619755, 3.2969744087084628e-18),
+    ],
+    ("long", "se"): [
+        (0.0, 0.0), (-2.4821180947081498e-14, -9.211010965084975e-31),
+        (2.4821180947081498e-14, 9.211010965084975e-31), (0.07802655623402588, 6.938893903640847e-18),
+        (-0.07802655623402588, -6.938893903640847e-18), (-0.6851715418310529, 6.834855187834139e-18),
+        (-0.23069932020902306, -8.889646465252637e-18), (-0.08179012151888011, 2.3697531297002123e-18),
+        (-3.098868241603086, 2.2086475431853104e-17), (0.0010348655900453525, 1.174629850059975e-20),
+        (-0.18895314029032584, -6.8003351101039464e-18),
+    ],
+    ("long", "ce-derivative"): [
+        (0.0, 0.0), (1.6103603699432868e-11, -4.327764986736776e-28),
+        (-1.6103603699432868e-11, 4.327764986736776e-28), (-248.60698359894118, -4.3229309019729775e-15),
+        (248.60698359894118, 4.3229309019729775e-15), (130.14367108211377, 2.52963615609132e-16),
+        (149.46449053047508, 9.146396617351404e-15), (282.88581372618256, -2.585659468830636e-14),
+        (1260.938259956011, -4.85249125213722e-14), (-123.84195761582352, 3.728958926852683e-15),
+        (122.70206295142897, -2.6497800476089616e-15),
+    ],
+    ("long", "se-derivative"): [
+        (-202.5825683759498, 4.884981308350689e-15), (-202.5825683759498, 4.884981308984123e-15),
+        (-202.5825683759498, 4.884981308984123e-15), (-248.6850101551752, -8.326672684526648e-15),
+        (-248.6850101551752, -8.326672684526648e-15), (398.5103038341458, 6.556816703263076e-15),
+        (43.7562465785255, 1.172953554447963e-15), (-165.9993112970492, -2.9372094424021355e-15),
+        (145.86599625763267, -8.324388861254031e-16), (129.1574474288002, 1.3520020064903062e-14),
+        (-161.77996053327996, -3.053684201124584e-15),
+    ],
+}
+
+# largest error allowed, from the worst errors measured on Mathieu coefficients
+# against 40-digit references: 4.4e-16 at q = 1; 4.7e-14 for values and
+# 4.9e-11 for derivatives (peak 1.4e3) at q = 1e6
+BOUNDS = {("short", False): 1e-15, ("short", True): 1e-15,
+          ("long", False): 5e-14, ("long", True): 5e-11}
+
+
+def per_harmonic_sum(harmonics, coeffs, u, func, weight):
+    """The earlier evaluator: one func(h u) pass per harmonic, added in index order."""
+    acc = np.zeros(u.shape)
+    for h, c in zip(harmonics.astype(float), coeffs):
+        term = func(h * u)
+        if weight:
+            term = weight * h * term
+        acc += c * term
+    return acc
+
+
+@pytest.mark.parametrize("vector", ["short", "long"])
+@pytest.mark.parametrize("series", list(SERIES))
+def test_series_against_40_digit_references(monkeypatch, vector, series):
+    parity, n, first, derivative = SERIES[series]
+    coeffs = np.array(SHORT if vector == "short" else LONG)
+    eig = MathieuEigen(MathieuClass.from_order(parity, n), n, 1.0, 0.0, coeffs, len(coeffs))
+    monkeypatch.setattr(mathieu_module, "mathieu_eigen", lambda *args: eig)
+    if derivative:
+        ours = mathieu_angular_derivative(parity, n, 1.0, POINTS)
+    else:
+        ours = (mathieu_ce if parity == "even" else mathieu_se)(n, 1.0, POINTS)
+    func = np.cos if (parity == "even") != derivative else np.sin
+    weight = (-1 if parity == "even" else 1) if derivative else 0
+    before = per_harmonic_sum(eig.harmonics, coeffs, POINTS, func, weight)
+    hi, lo = np.array(REFERENCES[vector, series]).T
+
+    def error(vals):
+        return np.abs((vals - hi) - lo).max()    # vals - hi is exact near hi
+
+    assert error(ours) <= error(before)
+    assert error(ours) <= BOUNDS[vector, derivative]
+
+
+ANGULAR = {
+    "ce": lambda u: mathieu_ce(2, 2.0, u),
+    "se": lambda u: mathieu_se(2, 2.0, u),
+    "ce-derivative": lambda u: mathieu_angular_derivative("even", 3, 2.0, u),
+    "se-derivative": lambda u: mathieu_angular_derivative("odd", 3, 2.0, u),
+}
+
+
+@pytest.mark.parametrize("series", list(ANGULAR))
+def test_series_blocks_agree_with_scalar_calls(series):
+    fn = ANGULAR[series]
+    chunk = mathieu_module._CHUNK
+    u = np.linspace(-4.0, 4.0, 2 * chunk + 3)
+    vals = fn(u)
+    for i in (0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, 2 * chunk + 2):
+        assert vals[i] == fn(float(u[i]))
+
+
+def test_series_working_memory():
+    # the output plus a few block-sized buffers, whatever the number of harmonics
+    u = np.linspace(-math.pi, math.pi, 2 ** 18)
+    mathieu_ce(2, 1.0, 0.0)     # solve outside the traced region
+    tracemalloc.start()
+    try:
+        mathieu_ce(2, 1.0, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * u.nbytes
 
 
 # ------------------------------------------------------------- radial

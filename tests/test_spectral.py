@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +130,37 @@ def test_window_flag_changes_samples_default_off():
     assert not np.allclose(plain.samples, windowed.samples)
     with pytest.raises(RangeError):
         ring_spectrum_from_grid(g, window="hamming")
+
+
+def full_grid_hann(g):
+    """The Hann window over the whole grid in one pass, the ring sum's operations on every row."""
+    x, y = g.x(), g.y()
+    cx = 0.5 * (x[0] + x[-1])
+    cy = 0.5 * (y[0] + y[-1])
+    radius = min(x[-1] - cx, y[-1] - cy)
+    r = np.hypot(*np.meshgrid(x - cx, y - cy))
+    return np.where(r <= radius, 0.5 * (1.0 + np.cos(math.pi * np.minimum(r / radius, 1.0))), 0.0)
+
+
+def test_window_row_blocks_equal_the_full_grid_window():
+    # 300 rows: two full row blocks of the ring sum and a short one
+    g = sample_grid(BesselWave(K, 0.3, 3), 200, 300, 0.05, 0.05)
+    pre = dataclasses.replace(g, values=g.values * full_grid_hann(g))
+    assert (ring_spectrum_from_grid(g, 512, "hann").samples.tobytes()
+            == ring_spectrum_from_grid(pre, 512).samples.tobytes())
+
+
+def test_window_working_memory():
+    # the window is built one row block at a time, so no temporary spans the
+    # grid (a full-grid window peaks at 1.56x the field's nbytes here)
+    g = sample_grid(BesselWave(K, 0.3, 3), 1024, 1024, 0.05, 0.05)
+    tracemalloc.start()
+    try:
+        ring_spectrum_from_grid(g, 256, "hann")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * g.values.nbytes
 
 
 # -------------------------------------------------- charge projection
