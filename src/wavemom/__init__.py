@@ -34,7 +34,6 @@ from .spectral import (
     ring_spectrum_from_grid,
 )
 from .specfun import (
-    bessel_j,
     mathieu_ce,
     mathieu_ce_radial,
     mathieu_eigen,

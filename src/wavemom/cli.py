@@ -184,6 +184,8 @@ def _cmd_momenta(args):
         raise UsageError(f"--methods takes a comma list from {sorted(momenta.ROUTES)}")
     if "paper" in methods and None in (args.f, args.parity, args.n):
         raise UsageError("--methods paper needs --f, --parity and --n")
+    if (args.parity, args.n) != (None, None) and None in (args.f, args.parity, args.n):
+        raise UsageError("--parity and --n apply only with --f, --parity and --n together")
     n_min, n_max = _pair(args.n_range, int, "--n-range")
     grid = _read_input(args)
     reports = momenta.report(

@@ -64,6 +64,8 @@ def read_field(path):
             raise FormatError(f"{path}: unparseable header: {exc}") from exc
         blob = fh.read()
 
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: incomplete or invalid header: not a JSON object")
     if header.get("magic") != MAGIC:
         raise FormatError(f"{path}: bad magic {header.get('magic')!r}, expected {MAGIC!r}")
     try:
@@ -73,6 +75,7 @@ def read_field(path):
         meta = GridMeta(_header_number(header, "k"), _header_number(header, "theta"),
                         _header_number(header, "z_plane", default=0.0),
                         str(header.get("description", "")))
+        FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, meta)  # before nx * ny sizes the payload
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # RangeError is a ValueError
         raise FormatError(f"{path}: incomplete or invalid header: {exc}") from exc
 
@@ -96,10 +99,7 @@ def read_field(path):
             f"{path}: non-finite sample at index {bad} "
             f"(byte offset {payload_start + 16 * bad})"
         )
-    try:  # the payload is checked above, so only the header geometry can fail here
-        return FieldGrid(nx, ny, dx, dy, x0, y0, values.astype(np.complex128), meta)
-    except RangeError as exc:
-        raise FormatError(f"{path}: incomplete or invalid header: {exc}") from exc
+    return FieldGrid(nx, ny, dx, dy, x0, y0, values.astype(np.complex128), meta)
 
 
 def _fmt(values):

@@ -1,6 +1,5 @@
-"""Special functions underlying the separable wave families."""
+"""The Mathieu eigen-system underlying the elliptic wave family."""
 
-from .bessel import bessel_j
 from .mathieu import (
     MathieuClass,
     MathieuEigen,
@@ -15,7 +14,6 @@ from .mathieu import (
 )
 
 __all__ = [
-    "bessel_j",
     "MathieuClass",
     "MathieuEigen",
     "mathieu_angular_derivative",

@@ -15,20 +15,17 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import RangeError, UsageError
-from .spectral import analytic_ring, field_from_ring
+from .spectral import MAX_RING_SAMPLES, analytic_ring, field_from_ring
 from .specfun import (
     MathieuClass,
-    bessel_j,
     mathieu_ce,
     mathieu_ce_radial,
     mathieu_norm_constant,
     mathieu_se,
     mathieu_se_radial,
 )
-from .specfun.bessel import check_bessel_range
 from .specfun.mathieu import MAX_Q
 
-_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**n without pow() rounding
 _BELOW_PI = math.nextafter(math.pi, 0.0)
 _ABOVE_ZERO = math.ulp(0.0)
 MAX_SAMPLES = 2 ** 26  # nx * ny: 1 GiB of complex128 samples
@@ -70,10 +67,12 @@ class Cone:
 class Wave(Cone):
     """A separable wave on its cone, paired with its ring amplitude.
 
-    Each family adds its own labels and implements ``field(x, y, z)``, the
-    complex field at points given as scalars or broadcastable arrays, and
-    ``ring_profile(phi)``, its on-cone angular spectrum at the uniform ring
-    azimuths ``phi`` (see ``spectral.ring_azimuths``).
+    Each family adds its own labels and implements ``ring_profile(phi)``, its
+    on-cone angular spectrum at the uniform ring azimuths ``phi`` (see
+    ``spectral.ring_azimuths``).  Plane and Mathieu waves also implement
+    ``field(x, y, z)``, the complex field at points given as scalars or
+    broadcastable arrays; a Bessel wave is its ring profile and overrides
+    ``sample`` instead.
     """
 
     def sample(self, x, y, z):
@@ -131,33 +130,31 @@ class BesselWave(Wave):
         if self.n != int(self.n):
             raise RangeError(f"topological charge must be an integer, got {self.n}")
 
-    def field(self, x, y, z):
-        """i^n sqrt(2 pi sin theta) J_n(k_t r) e^{i (n phi + k_z z)}; 0 on-axis unless n = 0."""
-        r = np.hypot(x, y)
-        phi = np.arctan2(y, x)
-        amp = _I_POW[self.n % 4] * math.sqrt(2.0 * math.pi * math.sin(self.theta))
-        return amp * bessel_j(self.n, self.kt * r) * np.exp(1j * (self.n * phi + self.kz * z))
-
     def ring_profile(self, phi):
         """(2 pi sin theta)^{-1/2} e^{i n phi}."""
         return np.exp(1j * self.n * phi) / math.sqrt(2.0 * math.pi * math.sin(self.theta))
 
     def sample(self, x, y, z):
-        """The field on a grid, synthesised from the ring profile by ``spectral.field_from_ring``.
+        """The field i^n sqrt(2 pi sin theta) J_n(k_t r) e^{i (n phi + k_z z)} on a grid.
 
+        It is synthesised from the ring profile by ``spectral.field_from_ring``.
         The ring's M samples alias J_n(z) with J_{M-|n|}(z) and weaker terms,
-        so M is the smallest power of two >= 256 whose bound
-        2 (z/2)^nu / nu! (nu = M - |n|) on those terms is <= 1e-16, for z the
-        largest k_t r on the grid.  Orders and arguments outside
-        ``bessel_j``'s range are refused as it refuses them.
+        so M is the smallest power of two >= 256 with nu = M - |n| >= 1 whose
+        bound 2 (z/2)^nu / nu! on those terms is <= 1e-16, for z the largest
+        k_t r on the grid.  A wave that even M = MAX_RING_SAMPLES does not
+        cover is refused before any table is built.
         """
         z_max = self.kt * float(np.hypot(np.abs(x).max(), np.abs(y).max()))
-        check_bessel_range(self.n, z_max)
         m = 256
-        while z_max > 0.0 and (math.log(2.0) + (m - abs(self.n)) * math.log(z_max / 2.0)
-                               - math.lgamma(m - abs(self.n) + 1) > math.log(_ALIASING)):
+        while True:
+            nu = m - abs(self.n)
+            if nu >= 1 and (z_max == 0.0 or math.log(2.0) + nu * math.log(z_max / 2.0)
+                            - math.lgamma(nu + 1) <= math.log(_ALIASING)):
+                return field_from_ring(analytic_ring(self, m), x, y, z)
+            if m == MAX_RING_SAMPLES:
+                raise RangeError(f"Bessel order {self.n} at k_t r = {z_max:.6g} needs more "
+                                 f"than {MAX_RING_SAMPLES} ring samples")
             m *= 2
-        return field_from_ring(analytic_ring(self, m), x, y, z)
 
 
 @dataclass(frozen=True)
@@ -346,7 +343,8 @@ def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None
     Samples sit at x0 + j*dx, y0 + i*dy; when x0/y0 are omitted the grid is
     centred on the origin.  A family may refuse samples outside its
     supported range: elliptic waves name the first offending sample index,
-    and Bessel waves refuse |n| > 200 or k_t r > 1e4 as ``bessel_j`` does.
+    and Bessel waves refuse an order and reach that MAX_RING_SAMPLES ring
+    samples cannot synthesise.
     """
     nx, ny = int(nx), int(ny)
     if description is None:

@@ -9,9 +9,30 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.special
+
+_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**n without pow() rounding
 
 
 # ---------------------------------------------------------------- Bessel
+
+def bessel_jn(n, x):
+    """J_n(x) for integer n by scipy.special.jv, negative orders by J_{-n} = (-1)^n J_n.
+
+    Returns a float for a scalar x and an ndarray for an array x.
+    """
+    n = int(n)
+    out = (-1.0) ** n * scipy.special.jv(-n, x) if n < 0 else scipy.special.jv(n, x)
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def bessel_field(wave, x, y, z):
+    """The closed form i^n sqrt(2 pi sin theta) J_n(k_t r) e^{i (n phi + k_z z)} of a BesselWave."""
+    r = np.hypot(x, y)
+    phi = np.arctan2(y, x)
+    amp = _I_POW[wave.n % 4] * math.sqrt(2.0 * math.pi * math.sin(wave.theta))
+    return amp * bessel_jn(wave.n, wave.kt * r) * np.exp(1j * (wave.n * phi + wave.kz * z))
+
 
 def bessel_series(n, x, terms=120):
     """J_n(x) from the defining power series (adequate for |x| <= ~40)."""

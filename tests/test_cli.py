@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wavemom.cli import main
-from wavemom.waves import MathieuWave
+from wavemom.fieldio import write_field_csv
+from wavemom.waves import BesselWave, MathieuWave, sample_grid
 
 K = 2.0 * math.pi
 THETA = 0.3
@@ -171,16 +172,16 @@ def test_range_errors_exit_2(tmp_path, capsys):
     assert run(["gen", "--family", "plane", "--k", 1.0, "--theta", math.pi / 2,
                 "--grid", "16,16", "--dx", math.pi, "--out", out]) == 0
     assert run(["spectrum", "--in", out]) == 2
-    # Bessel orders and arguments beyond bessel_j's supported |n| <= 200, k_t r <= 1e4
+    # Bessel waves that M = 2^16 ring samples cannot synthesise: the reach of this grid,
+    # k_t r = 50851 past the 48196 of n = 0, and orders with nu = M - |n| < 1
     capsys.readouterr()
-    assert run(["gen", "--family", "bessel", "--k", 1.0, "--theta", 0.5, "--n", 201,
-                "--grid", "16,16", "--out", tmp_path / "b"]) == 2
-    assert capsys.readouterr().err == "error: Bessel order 201 outside supported range |n| <= 200\n"
-    assert run(["gen", "--family", "bessel", "--k", 1.0, "--theta", 0.5, "--n", 3,
-                "--grid", "16,16", "--dx", 3000, "--out", tmp_path / "b"]) == 2
-    assert capsys.readouterr().err == "error: Bessel argument exceeds supported range |x| <= 10000\n"
+    bessel = ["gen", "--family", "bessel", "--k", 1.0, "--theta", 0.5, "--grid", "16,16"]
+    for n, dx, reach in ((3, 1e4, "50850.8"), (-65536, 0.1, "0.508508"),
+                         (10 ** 30, 0.1, "0.508508")):
+        assert run([*bessel, "--n", n, "--dx", dx, "--out", tmp_path / "b"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: Bessel order {n} at k_t r = {reach} needs more than 65536 ring samples\n"
     assert not (tmp_path / "b").exists()
-    capsys.readouterr()
 
 
 def test_io_errors_exit_3(tmp_path, capsys):
@@ -232,6 +233,28 @@ def test_bad_header_values_exit_3(tmp_path, capsys, key, value):
     assert "header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("head", [b"[1, 2]", b"5", b'"HWMF1"', b"null"])
+def test_non_object_header_exit_3(tmp_path, capsys, head):
+    path = tmp_path / "list.hwmf"
+    path.write_bytes(head + b"\n" + bytes(16 * 256))
+    assert run(["momenta", "--in", path]) == 3
+    assert capsys.readouterr().err == f"error: {path}: incomplete or invalid header: not a JSON object\n"
+
+
+@pytest.mark.parametrize("nx,ny,payload", [(-3, -3, 144), (-1, -16, 256), (2 ** 70, 0, 0)])
+def test_header_geometry_checked_before_the_payload(tmp_path, capsys, nx, ny, payload):
+    path = tmp_path / "field.hwmf"
+    assert run(["gen", "--family", "plane", "--k", 1.0, "--theta", 0.5,
+                "--grid", "16,16", "--out", path]) == 0
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    header.update(nx=nx, ny=ny)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(payload))
+    assert run(["spectrum", "--in", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: incomplete or invalid header: grid must ")
+    assert err.count("\n") == 1
+
+
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "wavemom.cli", "--help"],
                           capture_output=True, text=True)
@@ -239,47 +262,76 @@ def test_console_script_runs():
     assert "gen" in proc.stdout and "mathieu-table" in proc.stdout
 
 
-_SCIPY_AFTER = """
-import json, sys
+# a fresh interpreter in which any import of scipy fails, as on an install without it
+_NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+_RUN_COMMANDS = _NO_SCIPY + """
+import json
 from wavemom import cli
+assert not [name for name in sys.modules if name.startswith("scipy")]
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+# and every wave family evaluates through each method it has
+from wavemom import spectral, waves
+for family in waves.FAMILIES:
+    labels = {"plane": {}, "bessel": {"n": 1}}.get(family, {"n": 1, "f": 0.4})
+    wave = waves.make_wave(family, 6.0, 0.5, **labels)
+    wave.sample([0.1, 0.2], [0.3], 0.0)
+    spectral.analytic_ring(wave, 256)
+    if hasattr(wave, "field"):
+        wave.field(0.1, 0.3, 0.0)
 """
 
 
-def _scipy_after(commands):
-    """The scipy modules a fresh interpreter holds after importing wavemom.cli and running commands."""
+def _without_scipy(code, *args):
+    """Run code in a fresh interpreter with scipy blocked, and require it to succeed."""
     root = Path(__file__).resolve().parents[1]
-    argvs = [[str(a) for a in argv] for argv in commands]
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY + code, *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_start_up_does_not_import_scipy(tmp_path):
-    # only the pointwise bessel_j oracle calls scipy; Bessel grids are synthesised
-    # from their ring profile and the Mathieu eigensolver is numpy's dense eigh
-    assert _scipy_after([]) == []
-    field = tmp_path / "plane.hwmf"
-    assert _scipy_after([
-        ["gen", "--family", "plane", "--k", K, "--theta", THETA, "--grid", "32,32", "--out", field],
-        ["spectrum", "--in", field, "--out-summary", tmp_path / "summary.json"],
-        ["momenta", "--in", field, "--methods", "spectral,grid", "--out", tmp_path / "report.json"],
-    ]) == []
-    assert _scipy_after([
-        ["gen", "--family", "bessel", "--k", K, "--theta", THETA, "--n", 2, "--grid", "32,32",
-         "--out", tmp_path / "bessel.hwmf"]]) == []
-    ellipse = tmp_path / "ellipse.hwmf"
-    assert _scipy_after([
-        ["mathieu-table", "--parity", "even", "--n", 2, "--q", 1, "--out", tmp_path / "table.csv"],
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # Bessel grids are synthesised from their ring profile and the Mathieu
+    # eigensolver is numpy's dense eigh, so no command needs scipy
+    cone = ["--k", K, "--theta", THETA, "--grid", "32,32"]
+    plane, bessel = tmp_path / "plane.hwmf", tmp_path / "bessel.hwmf"
+    even, odd = tmp_path / "even.hwmf", tmp_path / "odd.hwmf"
+    camera = tmp_path / "camera.csv"
+    write_field_csv(sample_grid(BesselWave(K, THETA, 3), 32, 32, 0.1, 0.1), camera)
+    commands = [
+        ["gen", "--family", "plane", *cone, "--phi", 0.4, "--out", plane],
+        ["gen", "--family", "bessel", *cone, "--n", 2, "--out", bessel],
         ["gen", "--family", "mathieu-even", "--k", K, "--theta", ELL_THETA, "--n", 2,
-         "--f", ELL_F, "--grid", "32,32", "--dx", 0.06, "--out", ellipse],
-        ["momenta", "--in", ellipse, "--methods", "spectral,grid,paper", "--f", ELL_F,
-         "--parity", "even", "--n", 2, "--out", tmp_path / "ellipse.json"],
-    ]) == []
+         "--f", ELL_F, "--grid", "32,32", "--dx", 0.06, "--out", even],
+        ["gen", "--family", "mathieu-odd", "--k", K, "--theta", ELL_THETA, "--n", 1,
+         "--f", ELL_F, "--grid", "32,32", "--dx", 0.06, "--out", odd],
+        ["spectrum", "--in", bessel, "--out-summary", tmp_path / "summary.json"],
+        ["spectrum", "--in", camera, "--in-format", "csv", "--k", K, "--theta", THETA,
+         "--out-summary", tmp_path / "camera.json"],
+        ["momenta", "--in", plane, "--methods", "spectral,grid", "--out", tmp_path / "plane.json"],
+        ["momenta", "--in", even, "--methods", "spectral,grid,paper", "--f", ELL_F,
+         "--parity", "even", "--n", 2, "--out", tmp_path / "even.json"],
+        ["mathieu-table", "--parity", "even", "--n", 2, "--q", 1, "--out", tmp_path / "table.csv"],
+    ]
+    _without_scipy(_RUN_COMMANDS, json.dumps([[str(a) for a in argv] for argv in commands]))
+
+
+def test_readme_library_sketch_runs_without_scipy():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library sketch\n", 1)[1]
+    sketch = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    _without_scipy(sketch)
 
 
 def test_csv_ingestion_path(tmp_path):
@@ -488,6 +540,7 @@ def mathieu_input(tmp_path_factory):
 
 
 _Q_CAP = "q = (f k_t / 2)^2 exceeds the supported maximum 1e+06 (f k_t / 2 = 1.5708e+300)"
+_LABELS_TOGETHER = "--parity and --n apply only with --f, --parity and --n together"
 
 
 @pytest.mark.parametrize("flags,code,message", [
@@ -505,6 +558,11 @@ _Q_CAP = "q = (f k_t / 2)^2 exceeds the supported maximum 1e+06 (f k_t / 2 = 1.5
     (["--methods", "spectral", "--f", -5], 2, "semi-focal distance f must be positive, got -5.0"),
     (["--methods", "grid", "--f", 1e150], 2,
      "q = (f k_t / 2)^2 exceeds the supported maximum 1e+06 (f k_t / 2 = 1.5708e+150)"),
+    # --parity and --n name a wave only together with --f, as gen refuses a label that does not apply
+    (["--methods", "spectral", "--n", 5, "--parity", "odd"], 1, _LABELS_TOGETHER),
+    (["--f", 0.3, "--parity", "even"], 1, _LABELS_TOGETHER),
+    (["--f", 0.3, "--n", 2], 1, _LABELS_TOGETHER),
+    (["--methods", "grid", "--n", 2], 1, _LABELS_TOGETHER),
 ])
 def test_momenta_elliptic_labels_name_one_wave(mathieu_input, capsys, flags, code, message):
     assert run(["momenta", "--in", mathieu_input, *flags]) == code

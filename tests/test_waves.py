@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from wavemom import waves
 from wavemom.errors import RangeError
 from wavemom.specfun import (
-    bessel_j,
     mathieu_ce,
     mathieu_ce_radial,
     mathieu_norm_constant,
@@ -24,7 +23,7 @@ from wavemom.waves import (
     sample_grid,
 )
 
-from _oracles import bessel_series
+from _oracles import bessel_field, bessel_series
 
 # first maximum of J_1, located by golden-section search on the series oracle
 J1_FIRST_MAX = 1.8411837813406593
@@ -72,13 +71,19 @@ def test_plane_wave_label_validation():
 
 # ------------------------------------------------------------- bessel
 
+def _at(wave, x, y, z):
+    """The field of any family at one point, from its one-sample grid."""
+    return wave.sample(np.array([x]), np.array([y]), z)[0, 0]
+
+
 def test_bessel_wave_at_origin():
+    # J_n(0) = 0 for n != 0, where the synthesis sums M ring phases that cancel to rounding
     w0 = BesselWave(1.0, math.pi / 2, 0)
-    assert w0.field(0.0, 0.0, 0.0) == pytest.approx(math.sqrt(2 * math.pi))
+    assert _at(w0, 0.0, 0.0, 0.0) == pytest.approx(math.sqrt(2 * math.pi))
     w3 = BesselWave(1.0, 0.7, 3)
-    assert w3.field(0.0, 0.0, 0.0) == 0.0
+    assert abs(_at(w3, 0.0, 0.0, 0.0)) < 1e-15
     wm2 = BesselWave(1.0, 0.7, -2)
-    assert wm2.field(0.0, 0.0, 0.0) == 0.0
+    assert abs(_at(wm2, 0.0, 0.0, 0.0)) < 1e-15
 
 
 def test_bessel_wave_first_radial_maximum():
@@ -97,18 +102,17 @@ def test_bessel_wave_first_radial_maximum():
     assert found == pytest.approx(J1_FIRST_MAX, abs=1e-6)
 
     w = BesselWave(1.0, math.pi / 2, 1)  # k_t = 1, radial argument is x itself
-    peak = abs(w.field(J1_FIRST_MAX, 0.0, 0.0))
-    for off in (1e-3, 5e-3, 2e-2):
-        assert peak >= abs(w.field(J1_FIRST_MAX + off, 0.0, 0.0))
-        assert peak >= abs(w.field(J1_FIRST_MAX - off, 0.0, 0.0))
+    offsets = np.array([-2e-2, -5e-3, -1e-3, 0.0, 1e-3, 5e-3, 2e-2])
+    values = np.abs(w.sample(J1_FIRST_MAX + offsets, np.array([0.0]), 0.0)[0])
+    assert values.argmax() == 3
 
 
 def test_bessel_wave_charge_phase():
     w = BesselWave(2.0, 0.8, 5)
     r = 2.3
     for phi in (0.3, 1.1, -2.0):
-        v1 = w.field(r * math.cos(phi), r * math.sin(phi), 0.0)
-        v0 = w.field(r, 0.0, 0.0)
+        v1 = _at(w, r * math.cos(phi), r * math.sin(phi), 0.0)
+        v0 = _at(w, r, 0.0, 0.0)
         assert cmath.phase(v1 / v0) == pytest.approx(
             math.remainder(5 * phi, 2 * math.pi), abs=1e-9)
 
@@ -234,7 +238,7 @@ def test_sample_grid_matches_pointwise_eval():
 
 @pytest.mark.parametrize("n", range(-5, 6))
 def test_bessel_grid_synthesis_matches_closed_form(n):
-    # BesselWave.field (bessel_j at each point) is the oracle for the grid synthesised
+    # the closed form (scipy's jv at each point) is the oracle for the grid synthesised
     # from the ring profile.  The second grid's far corner sits at k_t r = 161, just
     # inside the largest k_t r (161.37 at |n| = 5) that M = 256 ring samples cover
     # with an aliasing bound <= 1e-16, so the corners test that bound at its tightest.
@@ -243,7 +247,7 @@ def test_bessel_grid_synthesis_matches_closed_form(n):
     for nx, ny, dx, dy, x0, y0, z in ((40, 33, 0.07, 0.09, -1.1, -0.8, 0.37),
                                       (64, 48, 70.0 / 63, (y_far + 5.0) / 47, -10.0, -5.0, -1.3)):
         g = sample_grid(w, nx, ny, dx, dy, x0=x0, y0=y0, z=z)
-        ref = w.field(*np.meshgrid(g.x(), g.y()), z)
+        ref = bessel_field(w, *np.meshgrid(g.x(), g.y()), z)
         assert np.abs(g.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -258,19 +262,34 @@ def test_bessel_synthesis_ring_size(monkeypatch):
     assert sizes == [256, 256, 512, 16384]
 
 
-def test_bessel_synthesis_refuses_what_bessel_j_refuses(monkeypatch):
+def test_bessel_synthesis_reaches_its_largest_ring(monkeypatch):
+    sizes = []
+    analytic_ring = waves.analytic_ring
+    monkeypatch.setattr(waves, "analytic_ring", lambda label, m: sizes.append(m) or analytic_ring(label, m))
+    # at n = 0 the bound 2 (z/2)^65536 / 65536! of M = 2^16 reaches 1e-16 at z = 48195.8
+    w = BesselWave(2.0 * math.pi, 0.3, 0)
+    x = np.array([0.0, 4.8e4 / w.kt])
+    g = w.sample(x, np.array([0.0]), 0.0)
+    assert sizes == [65536]
+    ref = bessel_field(w, x, 0.0, 0.0)
+    assert np.abs(g[0] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_bessel_synthesis_refuses_beyond_the_aliasing_bound(monkeypatch):
     def no_tables(*args):
         raise AssertionError("ring tables built for a refused wave")
 
+    monkeypatch.setattr(waves, "analytic_ring", no_tables)
     monkeypatch.setattr(waves, "field_from_ring", no_tables)
     k, theta = 2.0 * math.pi, 0.3
-    for n, reach in ((201, 1.0), (-201, 1.0), (3, 1.0001e4)):
+    # 4.83e4 is past the largest k_t r of M = 2^16 at n = 0; nu = M - |n| < 1 at |n| = 2^16
+    for n, reach, shown in ((0, 4.83e4, "48300"), (-3, math.inf, "inf"), (65536, 1.0, "1"),
+                            (-65536, 1.0, "1"), (10 ** 30, 1.0, "1")):
         w = BesselWave(k, theta, n)
-        with pytest.raises(RangeError) as expected:
-            bessel_j(n, reach)
         with pytest.raises(RangeError) as refused:
             w.sample(np.array([-reach / w.kt, 0.0]), np.array([0.0]), 0.0)
-        assert str(refused.value) == str(expected.value)
+        assert str(refused.value) == \
+            f"Bessel order {n} at k_t r = {shown} needs more than 65536 ring samples"
 
 
 def test_bessel_synthesis_memory_is_tiled():
@@ -285,7 +304,7 @@ def test_bessel_synthesis_memory_is_tiled():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
-    ref = w.field(*np.meshgrid(g.x(), g.y()), 0.0)
+    ref = bessel_field(w, *np.meshgrid(g.x(), g.y()), 0.0)
     assert np.abs(g.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -319,8 +338,8 @@ def test_axial_phase_rate_all_families():
     dz = 1e-3
     for label in labels:
         pt = (0.31, 0.17, 0.0)
-        up = label.field(pt[0], pt[1], dz)
-        dn = label.field(pt[0], pt[1], -dz)
+        up = _at(label, pt[0], pt[1], dz)
+        dn = _at(label, pt[0], pt[1], -dz)
         rate = cmath.phase(up * dn.conjugate()) / (2.0 * dz)
         expected = label.k * math.cos(label.theta)
         assert rate == pytest.approx(expected, rel=1e-3)
