@@ -40,7 +40,7 @@ def write_field(fieldgrid, path):
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def _header_number(header, key, kind=float, default=None):
@@ -52,8 +52,24 @@ def _header_number(header, key, kind=float, default=None):
     return kind(value)
 
 
+def _read_payload(fh, out):
+    """Fill the bytes of ``out`` from fh; return (bytes read into it, bytes left after it)."""
+    view = memoryview(out).cast("B")
+    got = 0
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
+            return got, 0
+        got += n
+    return got, len(fh.read())
+
+
 def read_field(path):
-    """Read an HWMF1 file back into a FieldGrid."""
+    """Read an HWMF1 file back into a FieldGrid.
+
+    The payload is read straight into the sample array, so reading holds the
+    field once; any stream works as ``path``, a pipe included.
+    """
     with open(path, "rb") as fh:
         line = fh.readline(_HEADER_LIMIT)
         if not line.endswith(b"\n"):
@@ -62,44 +78,43 @@ def read_field(path):
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: unparseable header: {exc}") from exc
-        blob = fh.read()
-
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: incomplete or invalid header: not a JSON object")
-    if header.get("magic") != MAGIC:
-        raise FormatError(f"{path}: bad magic {header.get('magic')!r}, expected {MAGIC!r}")
-    try:
-        nx, ny = _header_number(header, "nx", int), _header_number(header, "ny", int)
-        dx, dy = _header_number(header, "dx"), _header_number(header, "dy")
-        x0, y0 = _header_number(header, "x0"), _header_number(header, "y0")
-        meta = GridMeta(_header_number(header, "k"), _header_number(header, "theta"),
-                        _header_number(header, "z_plane", default=0.0),
-                        str(header.get("description", "")))
-        FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, meta)  # before nx * ny sizes the payload
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # RangeError is a ValueError
-        raise FormatError(f"{path}: incomplete or invalid header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: incomplete or invalid header: not a JSON object")
+        if header.get("magic") != MAGIC:
+            raise FormatError(f"{path}: bad magic {header.get('magic')!r}, expected {MAGIC!r}")
+        try:
+            nx, ny = _header_number(header, "nx", int), _header_number(header, "ny", int)
+            dx, dy = _header_number(header, "dx"), _header_number(header, "dy")
+            x0, y0 = _header_number(header, "x0"), _header_number(header, "y0")
+            meta = GridMeta(_header_number(header, "k"), _header_number(header, "theta"),
+                            _header_number(header, "z_plane", default=0.0),
+                            str(header.get("description", "")))
+            FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, meta)  # before nx * ny sizes the payload
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # RangeError is a ValueError
+            raise FormatError(f"{path}: incomplete or invalid header: {exc}") from exc
+        values = np.empty((ny, nx), dtype="<c16")
+        got, rest = _read_payload(fh, values)
 
     payload_start = len(line)
-    expected = nx * ny * 16
-    if len(blob) < expected:
+    expected = values.nbytes
+    if got < expected:
         raise FormatError(
-            f"{path}: truncated payload at byte offset {payload_start + len(blob)}: "
-            f"expected {nx * ny} samples ({expected} bytes), got {len(blob)} bytes"
+            f"{path}: truncated payload at byte offset {payload_start + got}: "
+            f"expected {nx * ny} samples ({expected} bytes), got {got} bytes"
         )
-    if len(blob) > expected:
+    if rest:
         raise FormatError(
-            f"{path}: payload holds {len(blob) // 16} samples but the header "
+            f"{path}: payload holds {(expected + rest) // 16} samples but the header "
             f"declares nx*ny = {nx * ny}"
         )
-    values = np.frombuffer(blob, dtype="<c16").reshape(ny, nx)
-    finite = np.isfinite(values.view(np.float64).reshape(ny, nx, 2)).all(axis=2)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite.ravel())[0])
+    floats = values.reshape(-1).view(np.float64)
+    if not np.isfinite(floats).all():
+        bad = int(np.argmin(np.isfinite(floats))) // 2
         raise FormatError(
             f"{path}: non-finite sample at index {bad} "
             f"(byte offset {payload_start + 16 * bad})"
         )
-    return FieldGrid(nx, ny, dx, dy, x0, y0, values.astype(np.complex128), meta)
+    return FieldGrid(nx, ny, dx, dy, x0, y0, values, meta)
 
 
 def _fmt(values):

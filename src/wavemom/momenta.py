@@ -19,6 +19,7 @@ from .specfun import mathieu_eigen
 from .waves import MathieuWave
 
 GRID_OPS = ("lz", "px", "py", "elliptic")
+_SLAB = 32  # quadrature rows per slab of grid_mean
 
 
 @dataclass
@@ -69,13 +70,12 @@ def oam_mathieu_paper(parity, n, q):
 
 
 def _lz(values, x, y, dx, dy):
-    """-i (x d/dy - y d/dx) by centred differences; the border samples are not centred."""
+    """-i (x d/dy - y d/dx) and d/dx by centred differences; the border samples are not centred."""
     d_dy, d_dx = np.gradient(values, dy, dx)
-    # in place on the two gradient arrays: no temporaries the size of the grid
-    np.multiply(x[None, :], d_dy, out=d_dy)
-    np.multiply(y[:, None], d_dx, out=d_dx)
-    np.subtract(d_dy, d_dx, out=d_dy)
-    return np.multiply(-1j, d_dy, out=d_dy)
+    # in place on the y-gradient: d_dx is returned as it is, for the px^2 stencil
+    np.multiply(x, d_dy, out=d_dy)
+    np.subtract(d_dy, np.multiply(y[:, None], d_dx), out=d_dy)
+    return np.multiply(-1j, d_dy, out=d_dy), d_dx
 
 
 def grid_mean(fieldgrid, op, f=None):
@@ -85,39 +85,47 @@ def grid_mean(fieldgrid, op, f=None):
     (``np.gradient``), exact only one sample in from the border; the
     composed operator lz^2 + f^2 px^2 applies the first-order stencils
     twice, so its quadrature region loses two border cells instead of one.
-    The imaginary part of the quotient must stay below 1e-6 relative, else
-    a NumericalError is raised; the real part is returned (raw operator
-    units: lz dimensionless, px/py in rad/length).
+    Both sums of the quotient are accumulated over slabs of _SLAB rows,
+    each read with a halo of as many rows as the border, so the stencils
+    see the same neighbours as on the whole grid and the working set is a
+    few slabs.  The imaginary part of the quotient must stay below 1e-6
+    relative, else a NumericalError is raised; the real part is returned
+    (raw operator units: lz dimensionless, px/py in rad/length).
     """
     if op not in GRID_OPS:
         raise RangeError(f"unknown grid operator {op!r}; choose from {GRID_OPS}")
     border = 2 if op == "elliptic" else 1
-    if fieldgrid.nx - 2 * border < 8 or fieldgrid.ny - 2 * border < 8:
+    nx, ny = fieldgrid.nx, fieldgrid.ny
+    if nx - 2 * border < 8 or ny - 2 * border < 8:
         raise RangeError("grid interior must keep at least 8 cells per direction")
-    v = fieldgrid.values
+    if op == "elliptic" and (f is None or not f > 0.0):
+        raise RangeError("the elliptic operator needs a positive semi-focal distance f")
     x = fieldgrid.x()
     y = fieldgrid.y()
     dx, dy = fieldgrid.dx, fieldgrid.dy
 
-    if op == "lz":
-        applied = _lz(v, x, y, dx, dy)
-    elif op == "px":
-        applied = -1j * np.gradient(v, dx, axis=1)
-    elif op == "py":
-        applied = -1j * np.gradient(v, dy, axis=0)
-    else:
-        if f is None or not f > 0.0:
-            raise RangeError("the elliptic operator needs a positive semi-focal distance f")
-        applied = _lz(_lz(v, x, y, dx, dy), x, y, dx, dy)
-        px2 = np.gradient(np.gradient(v, dx, axis=1), dx, axis=1)
-        np.negative(px2, out=px2)
-        np.multiply(f * f, px2, out=px2)
-        np.add(applied, px2, out=applied)   # lz^2 + (f f) (-d^2/dx^2)
-
     inner = (slice(border, -border),) * 2
-    core = v[inner]
-    denom = np.vdot(core, core)
-    quot = np.vdot(core, applied[inner]) / denom
+    num = den = 0j
+    for i0 in range(border, ny - border, _SLAB):
+        rows = slice(i0 - border, min(i0 + _SLAB, ny - border) + border)
+        v, ys = fieldgrid.values[rows], y[rows]
+        if op == "lz":
+            applied = _lz(v, x, ys, dx, dy)[0]
+        elif op == "px":
+            applied = -1j * np.gradient(v, dx, axis=1)
+        elif op == "py":
+            applied = -1j * np.gradient(v, dy, axis=0)
+        else:
+            lz, d_dx = _lz(v, x, ys, dx, dy)
+            applied = _lz(lz, x, ys, dx, dy)[0]
+            px2 = np.gradient(d_dx, dx, axis=1)
+            np.negative(px2, out=px2)
+            np.multiply(f * f, px2, out=px2)
+            np.add(applied, px2, out=applied)   # lz^2 + (f f) (-d^2/dx^2)
+        core = v[inner]
+        den += np.vdot(core, core)
+        num += np.vdot(core, applied[inner])
+    quot = num / den
     scale = max(1.0, abs(quot))
     if abs(quot.imag) > 1e-6 * scale:
         raise NumericalError(
@@ -178,7 +186,10 @@ def _grid_route(fieldgrid, *, f, wave, **_):
     notes = "pz from cone metadata"
     if wave is not None:  # built from f, so inv is set
         notes = _elliptic_notes(inv, wave) + "; " + notes
-    norm = float(np.sum(np.abs(fieldgrid.values) ** 2) * fieldgrid.dx * fieldgrid.dy)
+    norm = np.float64(0.0)   # a numpy scalar, so an overflowing sum raises under np.errstate
+    for i0 in range(0, fieldgrid.ny, _SLAB):
+        norm += np.sum(np.abs(fieldgrid.values[i0:i0 + _SLAB]) ** 2)
+    norm = float(norm * fieldgrid.dx * fieldgrid.dy)
     return MomentumReport(
         mean_lz=lz, mean_px=px, mean_py=py, mean_pz=math.cos(fieldgrid.meta.theta),
         elliptic_invariant=inv,

@@ -355,15 +355,12 @@ def radial_xi_max(q):
     return min(caps)
 
 
-def _radial(parity, n, q, xi):
-    """Ce_n (even) or Se_n (odd) at xi >= 0 by the per-harmonic _series.
+def check_radial_range(q, xi, row0=0):
+    """Refuse xi < 0, a q at which no xi is supported, and xi beyond radial_xi_max(q).
 
-    Refuses xi beyond radial_xi_max(q), naming the first such sample, and
-    a sum whose largest term bound |c_j| e^(h_j xi) exceeds e^700; terms
-    whose bound is below e^-46 of the largest are dropped, since they
-    cannot reach the sum's last bit.
+    A sample beyond the range is named by its index in xi, the first index
+    shifted by row0 for a caller that passes one block of rows of a grid.
     """
-    eig = mathieu_eigen(parity, n, q)
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0.0):
         raise RangeError("radial coordinate xi must be >= 0")
@@ -376,13 +373,27 @@ def _radial(parity, n, q, xi):
     beyond = xi > limit
     if beyond.any():
         index = np.unravel_index(int(np.argmax(beyond)), xi.shape)
-        where = f" at sample {tuple(map(int, index))}" if index else ""
+        where = f" at sample {(int(index[0]) + row0, *map(int, index[1:]))}" if index else ""
         raise RangeError(
             f"xi = {xi[index]:g}{where} beyond supported radial range {limit:g} "
             f"at q = {q:g} (series conditioning)"
         )
+
+
+def _radial(parity, n, q, xi, reach=None):
+    """Ce_n (even) or Se_n (odd) at xi >= 0 by the per-harmonic _series.
+
+    Refuses xi as check_radial_range does, and a sum whose largest term
+    bound |c_j| e^(h_j reach) exceeds e^700; terms whose bound is below
+    e^-46 of the largest are dropped, since they cannot reach the sum's
+    last bit.  reach defaults to the largest xi given; a caller that sums
+    a grid in blocks passes the grid's, so every block sums the same terms.
+    """
+    eig = mathieu_eigen(parity, n, q)
+    xi = np.asarray(xi, dtype=float)
+    check_radial_range(q, xi)
     h = eig.harmonics.astype(float)
-    xmax = xi.max() if xi.size else 0.0
+    xmax = (xi.max() if xi.size else 0.0) if reach is None else reach
     with np.errstate(divide="ignore"):
         bound = np.log(np.abs(eig.coeffs)) + h * xmax   # cosh z <= e^z
     top = bound.max()
@@ -396,14 +407,14 @@ def _radial(parity, n, q, xi):
     return _series(h[keep], eig.coeffs[keep], xi, hyp)
 
 
-def mathieu_ce_radial(n, q, xi):
+def mathieu_ce_radial(n, q, xi, reach=None):
     """Radial companion Ce_n(xi; q) = ce_n(i xi; q), hyperbolic-cosine series."""
-    return _radial("even", n, q, xi)
+    return _radial("even", n, q, xi, reach)
 
 
-def mathieu_se_radial(n, q, xi):
+def mathieu_se_radial(n, q, xi, reach=None):
     """Radial companion Se_n(xi; q) = -i se_n(i xi; q), hyperbolic-sine series."""
-    return _radial("odd", n, q, xi)
+    return _radial("odd", n, q, xi, reach)
 
 
 def mathieu_norm_constant(parity, n, q):

@@ -30,7 +30,7 @@ MAX_RING_SAMPLES = 2 ** 16
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK = 128       # grid rows per block of the ring sum
-_TILE = 2 ** 18    # table entries per axis tile of the field synthesis
+_TILE = 2 ** 18    # table entries per axis in one wavenumber tile of the field synthesis
 
 
 def ring_azimuths(m):
@@ -199,8 +199,9 @@ def field_from_ring(ring, x, y, z):
     the trapezoid rule for the angular-spectrum (Whittaker) integral, which
     is spectrally accurate for a smooth ring profile.  Returns shape
     (len(y), len(x)).  The adjoint of :func:`ring_spectrum_from_grid`'s kernel
-    on the same quarter tables, computed in tiles of at most _TILE table
-    entries per axis, so no temporary grows with len(x) * M.
+    on the same quarter tables, summed over tiles of the wavenumbers kappa
+    with at most _TILE table entries per axis (at least one wavenumber), so
+    each table entry is computed once and no temporary grows with len(x) * M.
     """
     m = ring.m
     kt = ring.k * math.sin(ring.theta)
@@ -214,15 +215,19 @@ def field_from_ring(ring, x, y, z):
     y = np.asarray(y, dtype=float)
     out = np.empty((len(y), len(x)), dtype=np.complex128)
     pairs = out.view(np.float64)        # (ny, 2 nx): re, im interleaved
-    step = _TILE // (2 * len(kappa))
-    for j0 in range(0, len(x), step):
-        cols = x[j0:j0 + step]
+    step = max(1, _TILE // (2 * max(len(x), len(y))))
+    rows = max(1, _TILE // (2 * len(x)))
+    for l0 in range(0, len(kappa), step):
+        tile = slice(l0, l0 + step)
         # w[b, l, j] = sum_a coef[l, a, b] a(x_j kappa_l): the x half of the kernel
-        w = np.einsum("lab,jal->blj", coef, _tables(cols, kappa), order="C")
-        w = w.reshape(-1, len(cols)).view(np.float64)
-        for i0 in range(0, len(y), step):
-            ty = _tables(y[i0:i0 + step], kappa[::-1])
-            np.matmul(ty.reshape(len(ty), -1), w, out=pairs[i0:i0 + step, 2 * j0:2 * (j0 + len(cols))])
+        w = np.einsum("lab,jal->blj", coef[tile], _tables(x, kappa[tile]), order="C")
+        w = w.reshape(-1, len(x)).view(np.float64)
+        ty = _tables(y, kappa[::-1][tile]).reshape(len(y), -1)
+        if l0 == 0:
+            np.matmul(ty, w, out=pairs)
+            continue
+        for i0 in range(0, len(y), rows):   # later wavenumber tiles add in row blocks
+            pairs[i0:i0 + rows] += ty[i0:i0 + rows] @ w
     return out
 
 

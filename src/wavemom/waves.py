@@ -24,12 +24,13 @@ from .specfun import (
     mathieu_se,
     mathieu_se_radial,
 )
-from .specfun.mathieu import MAX_Q
+from .specfun.mathieu import MAX_Q, check_radial_range, radial_xi_max
 
 _BELOW_PI = math.nextafter(math.pi, 0.0)
 _ABOVE_ZERO = math.ulp(0.0)
 MAX_SAMPLES = 2 ** 26  # nx * ny: 1 GiB of complex128 samples
 _ALIASING = 1e-16  # bound on the ring-sum aliasing of a synthesised Bessel grid
+_ROWS = 32  # grid rows per block of Wave.sample
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,11 @@ class Wave(Cone):
     def sample(self, x, y, z):
         """The field on the grid of 1-D axes x, y at plane z, shape (len(y), len(x)).
 
-        ``field`` gets the axes as a (1, nx) row and an (ny, 1) column, which it
-        broadcasts, so no full-grid coordinate arrays are made.
+        ``field`` gets the x axis and a column of _ROWS y values at a time,
+        which it broadcasts, so its temporaries are the size of one block.
         """
-        return self.field(*np.meshgrid(x, y, sparse=True), z)
+        x, y = _axis(x), _axis(y)
+        return _by_rows(x, y, lambda i0, rows: self.field(x, rows, z))
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ class MathieuWave(Wave):
         """Separation parameter (f k sin(theta) / 2)^2 for foci at +-f."""
         return (self.f * self.kt / 2.0) ** 2
 
-    def field(self, x, y, z):
+    def field(self, x, y, z, reach=None):
         """sqrt(sin theta) c_n Ce_n(xi) ce_n(eta) e^{i k_z z}, or the s_n Se_n se_n odd form.
 
         Points are mapped through :func:`elliptic_coords`; the result is
@@ -187,15 +189,36 @@ class MathieuWave(Wave):
         radial factors are jointly even (even parity) or jointly odd (odd
         parity) under the eta branch flip there.  Points beyond the
         supported radial range raise a RangeError naming the first one.
+        The radial terms are chosen for the largest xi of the points, or for
+        ``reach`` when given (see ``sample``).
         """
         xi, eta = elliptic_coords(x, y, self.f)
         q = self.q
         radial = mathieu_ce_radial if self.parity == "even" else mathieu_se_radial
-        rad = radial(self.n, q, xi)
+        rad = radial(self.n, q, xi, reach)
         cn = mathieu_norm_constant(self.parity, self.n, q)
         ang = self._angular(eta)
         carrier = np.exp(1j * self.kz * np.asarray(z, dtype=float))
         return math.sqrt(math.sin(self.theta)) * cn * rad * ang * carrier
+
+    def sample(self, x, y, z):
+        """Wave.sample, with every block summing the radial terms of the whole grid.
+
+        xi grows with |x| and with |y|, so the grid's largest xi lies at its
+        largest |x| and |y|; the radial terms are chosen for that xi, as a
+        single call on the whole grid would choose them.  When it is beyond
+        the radial range, every block is checked before any is evaluated, so
+        the refusal names the first offending sample by its grid index (a
+        block summed with terms chosen for that xi could first refuse with
+        an overflow).
+        """
+        x, y = _axis(x), _axis(y)
+        far_x, far_y = (np.unique(a[np.abs(a) == np.abs(a).max()]) for a in (x, y))
+        reach = float(elliptic_coords(far_x, far_y[:, None], self.f)[0].max())
+        if reach > radial_xi_max(self.q):
+            for i0 in range(0, len(y), _ROWS):
+                check_radial_range(self.q, elliptic_coords(x, y[i0:i0 + _ROWS, None], self.f)[0], i0)
+        return _by_rows(x, y, lambda i0, rows: self.field(x, rows, z, reach))
 
     def ring_profile(self, phi):
         """(pi sin theta)^{-1/2} ce_n(phi; q), or se_n for odd parity."""
@@ -310,6 +333,19 @@ class FieldGrid:
 
     def y(self):
         return self.y0 + self.dy * np.arange(self.ny)
+
+
+def _axis(values):
+    """A grid axis given as any sequence, as a flat float array."""
+    return np.asarray(values, dtype=float).ravel()
+
+
+def _by_rows(x, y, block):
+    """The (len(y), len(x)) grid of block(i0, y[i0:i0 + _ROWS] as a column), filled in row blocks."""
+    out = np.empty((len(y), len(x)), dtype=np.complex128)
+    for i0 in range(0, len(y), _ROWS):
+        out[i0:i0 + _ROWS] = block(i0, y[i0:i0 + _ROWS, None])
+    return out
 
 
 def elliptic_coords(x, y, f):

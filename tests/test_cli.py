@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wavemom.cli import main
-from wavemom.fieldio import write_field_csv
+from wavemom.fieldio import write_field, write_field_csv
 from wavemom.waves import BesselWave, MathieuWave, sample_grid
 
 K = 2.0 * math.pi
@@ -427,6 +427,39 @@ def test_overflowing_phase_exits_3(tmp_path, small_inputs, capsys, key):
     assert run(["momenta", "--in", path, "--methods", "spectral,grid"]) == 3
     assert capsys.readouterr().err == \
         f"error: {path}: incomplete or invalid header: {_PHASE_OVERFLOW}\n"
+
+
+_PEAK_GROWTH = """
+import sys
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024
+
+import wavemom.cli
+base = peak()
+rc = wavemom.cli.main(sys.argv[1:])
+print(rc, peak() - base)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_momenta_holds_the_field_about_once(tmp_path):
+    # peak resident memory of the benchmark's momenta command beyond what
+    # importing wavemom.cli takes; VmHWM rather than ru_maxrss, which keeps the
+    # peak of the spawning test process across exec.  Measured 1.8x the field
+    # at 1024^2 (4.2x when reading and the grid stencils made whole-grid copies)
+    path = tmp_path / "field.hwmf"
+    grid = sample_grid(BesselWave(K, THETA, 3), 1024, 1024, 0.0625, 0.0625)
+    write_field(grid, path)
+    proc = subprocess.run([sys.executable, "-c", _PEAK_GROWTH, "momenta", "--in", str(path),
+                           "--methods", "spectral,grid", "--window", "hann",
+                           "--out", str(tmp_path / "report.json")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    rc, grown = proc.stdout.split()
+    assert rc == "0", proc.stderr
+    assert int(grown) <= 2.5 * grid.values.nbytes
 
 
 def test_overflow_in_a_command_exits_2(tmp_path, capsys):

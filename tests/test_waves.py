@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wavemom import waves
+from wavemom import spectral, waves
 from wavemom.errors import RangeError
 from wavemom.specfun import (
     mathieu_ce,
     mathieu_ce_radial,
     mathieu_norm_constant,
+    radial_xi_max,
 )
 from wavemom.waves import (
     BesselWave,
@@ -308,10 +309,67 @@ def test_bessel_synthesis_memory_is_tiled():
     assert np.abs(g.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_bessel_synthesis_builds_each_table_entry_once(monkeypatch):
+    # at M = 2^16 a wavenumber tile holds few kappa, so the tables of both
+    # axes must be built tile by tile over kappa, not again per tile of x
+    entries = []
+    tables = spectral._tables
+    monkeypatch.setattr(spectral, "_tables",
+                        lambda coords, kappa: entries.append(len(coords) * len(kappa)) or tables(coords, kappa))
+    w = BesselWave(2.0 * math.pi, 0.3, 0)
+    x = np.linspace(-4.8e4, 4.8e4, 41) / w.kt
+    y = np.linspace(-2.2e3, 2.2e3, 23) / w.kt
+    g = w.sample(x, y, 0.0)
+    assert sum(entries) == (len(x) + len(y)) * (2 ** 16 // 4 + 1)
+    ref = bessel_field(w, *np.meshgrid(x, y), 0.0)
+    assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_mathieu_grid_range_error_names_sample():
     w = _matching_q_label("even", 2)
     with pytest.raises(RangeError, match=r"sample \(\d+, \d+\)"):
         sample_grid(w, 64, 64, 5.0 * w.f, 5.0 * w.f)
+
+
+@pytest.mark.parametrize("n", [2, 200])
+def test_mathieu_range_error_names_the_grid_index_past_the_first_block(n):
+    # xi grows along y from 4 at row 0, crossing the radial range past the first
+    # row block; at n = 200 a block's terms would already overflow, and the
+    # refusal must still be the one for the first sample beyond the range
+    w = MathieuWave(2.0 * math.pi, 0.3, n, "even", 0.05)
+    y0 = w.f * math.sinh(4.0)
+    d = (w.f * math.sinh(6.0) - y0) / (2 * waves._ROWS)
+    ny = 3 * waves._ROWS
+    xi, _ = elliptic_coords(d * np.arange(16), y0 + d * np.arange(ny)[:, None], w.f)
+    i, j = np.argwhere(xi > radial_xi_max(w.q))[0]
+    assert i >= waves._ROWS
+    with pytest.raises(RangeError, match=rf"^xi = {xi[i, j]:g} at sample \({i}, {j}\) beyond"):
+        sample_grid(w, 16, ny, d, d, x0=0.0, y0=y0)
+
+
+def test_mathieu_sampling_working_memory():
+    # the field is evaluated in row blocks: measured 1.13x the field at 1024^2, was 3.6x
+    w = _matching_q_label("even", 2)
+    d = 2.0 * w.f * math.sinh(0.94 * radial_xi_max(w.q)) / math.sqrt(2.0) / 1024
+    tracemalloc.start()
+    try:
+        g = sample_grid(w, 1024, 1024, d, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * g.values.nbytes
+
+
+def test_mathieu_grid_blocks_sum_the_whole_grids_terms():
+    # every row block sums the radial terms chosen for the whole grid, so the
+    # sampled grid equals the field evaluated on the whole grid at once
+    # (terms chosen per block changed 20 of these samples in their last bits)
+    w = _matching_q_label("even", 0)
+    ny = 3 * waves._ROWS + 5
+    d = 2.0 * w.f * math.sinh(0.94 * radial_xi_max(w.q)) / math.sqrt(2.0) / max(160, ny)
+    g = sample_grid(w, 160, ny, d, d)
+    whole = w.field(*np.meshgrid(g.x(), g.y(), sparse=True), 0.0)
+    assert g.values.tobytes() == whole.tobytes()
 
 
 def test_field_grid_validation():
