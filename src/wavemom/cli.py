@@ -6,6 +6,7 @@ angles are radians unless --degrees is given.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -93,7 +94,8 @@ def build_parser():
     reader.add_argument("--theta", type=float, default=None,
                         help="cone angle for csv input (required there, refused for hwmf)")
     reader.add_argument("--ring-samples", type=int, default=spectral.DEFAULT_RING_SAMPLES)
-    reader.add_argument("--n-range", default="-40,40", metavar="NMIN,NMAX")
+    reader.add_argument("--n-range", default="{},{}".format(*spectral.DEFAULT_CHARGE_WINDOW),
+                        metavar="NMIN,NMAX")
     reader.add_argument("--window", default="none", choices=["none", "hann"])
 
     spec = sub.add_parser("spectrum", parents=[reader],
@@ -143,19 +145,22 @@ def _cmd_gen(args):
 
 
 def _read_input(args):
-    """The --in field on its cone: from --k/--theta for CSV, from the header for HWMF."""
-    if args.in_format == "csv":
-        if None in (args.k, args.theta):
-            raise UsageError("csv input carries no cone; give --k and --theta")
-        return fieldio.read_field_csv(args.infile, args.k, args.theta)
-    if (args.k, args.theta) != (None, None):
+    """The --in field and the --n-range window; every option rule is checked before the file opens."""
+    n_min, n_max = _pair(args.n_range, int, "--n-range")
+    csv = args.in_format == "csv"
+    if csv and None in (args.k, args.theta):
+        raise UsageError("csv input carries no cone; give --k and --theta")
+    if not csv and (args.k, args.theta) != (None, None):
         raise UsageError("--k/--theta are for csv input; an hwmf file carries its cone")
-    return fieldio.read_field(args.infile)
+    spectral.check_ring_size(args.ring_samples)
+    spectral.check_charge_window(n_min, n_max, args.ring_samples)
+    if csv:
+        return fieldio.read_field_csv(args.infile, args.k, args.theta), (n_min, n_max)
+    return fieldio.read_field(args.infile), (n_min, n_max)
 
 
 def _cmd_spectrum(args):
-    grid = _read_input(args)
-    n_min, n_max = _pair(args.n_range, int, "--n-range")
+    grid, (n_min, n_max) = _read_input(args)
     ring = spectral.ring_spectrum_from_grid(grid, args.ring_samples, args.window)
     spec = spectral.oam_spectrum(ring, n_min, n_max)
     if args.out_ring:
@@ -180,19 +185,13 @@ def _cmd_spectrum(args):
 
 def _cmd_momenta(args):
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if not methods or not set(methods) <= set(momenta.ROUTES):
-        raise UsageError(f"--methods takes a comma list from {sorted(momenta.ROUTES)}")
-    if "paper" in methods and None in (args.f, args.parity, args.n):
-        raise UsageError("--methods paper needs --f, --parity and --n")
-    if (args.parity, args.n) != (None, None) and None in (args.f, args.parity, args.n):
-        raise UsageError("--parity and --n apply only with --f, --parity and --n together")
-    n_min, n_max = _pair(args.n_range, int, "--n-range")
-    grid = _read_input(args)
+    momenta.check_request(methods, args.f, args.parity, args.n)
+    grid, (n_min, n_max) = _read_input(args)
     reports = momenta.report(
         grid, methods=methods, m=args.ring_samples, n_min=n_min, n_max=n_max,
         window=args.window, f=args.f, parity=args.parity, n=args.n,
     )
-    _emit(fieldio.report_json_str(reports) + "\n", args.out)
+    _emit(json.dumps([dataclasses.asdict(r) for r in reports], indent=2) + "\n", args.out)
     return 0
 
 

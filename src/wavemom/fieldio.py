@@ -1,4 +1,4 @@
-"""Persistence for fields, spectra and reports.
+"""Persistence for fields and spectra.
 
 Field files use the HWMF1 container: a single-line UTF-8 JSON header
 terminated by a newline, followed by nx*ny complex samples as little-endian
@@ -8,7 +8,6 @@ emissions print floats with 17 significant digits, which round-trips
 doubles exactly.
 """
 
-import dataclasses
 import json
 import warnings
 
@@ -269,8 +268,3 @@ def write_oam_csv(spec, path):
     c = spec.coeffs
     _write_csv(path, "n,re,im,abs2", [([str(n) for n in spec.charges()], _fmt(c.real),
                                        _fmt(c.imag), _fmt([abs(v) ** 2 for v in c]))])
-
-
-def report_json_str(reports):
-    """Momentum reports (a list, one entry per method) as JSON text."""
-    return json.dumps([dataclasses.asdict(r) for r in reports], indent=2)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, RangeError, UndefinedMeanError
-from .spectral import DEFAULT_RING_SAMPLES, oam_spectrum, ring_spectrum_from_grid
+from .errors import NumericalError, RangeError, UndefinedMeanError, UsageError
+from .spectral import DEFAULT_CHARGE_WINDOW, DEFAULT_RING_SAMPLES, oam_spectrum, ring_spectrum_from_grid
 from .specfun import mathieu_eigen
 from .waves import MathieuWave
 
@@ -199,8 +199,6 @@ def _grid_route(fieldgrid, *, f, wave, **_):
 
 
 def _paper_route(fieldgrid, *, wave, **_):
-    if wave is None:
-        raise RangeError("the closed-form method needs parity, n and f")
     eig = mathieu_eigen(wave.parity, wave.n, wave.q)
     return MomentumReport(
         mean_lz=oam_mathieu_paper(wave.parity, wave.n, wave.q),
@@ -220,7 +218,18 @@ def _paper_route(fieldgrid, *, wave, **_):
 ROUTES = {"spectral": _spectral_route, "grid": _grid_route, "paper": _paper_route}
 
 
-def report(fieldgrid, methods=("spectral", "grid"), m=DEFAULT_RING_SAMPLES, n_min=-40, n_max=40,
+def check_request(methods, f=None, parity=None, n=None):
+    """UsageError for no or unknown methods, or parity/n (or "paper") without all of f, parity, n."""
+    if not methods or not set(methods) <= set(ROUTES):
+        raise UsageError(f"--methods takes a comma list from {sorted(ROUTES)}")
+    if "paper" in methods and None in (f, parity, n):
+        raise UsageError("--methods paper needs --f, --parity and --n")
+    if (parity, n) != (None, None) and None in (f, parity, n):
+        raise UsageError("--parity and --n apply only with --f, --parity and --n together")
+
+
+def report(fieldgrid, methods=("spectral", "grid"), m=DEFAULT_RING_SAMPLES,
+           n_min=DEFAULT_CHARGE_WINDOW[0], n_max=DEFAULT_CHARGE_WINDOW[1],
            window="none", f=None, parity=None, n=None):
     """Momentum reports for a sampled field, one entry per requested method.
 
@@ -228,18 +237,14 @@ def report(fieldgrid, methods=("spectral", "grid"), m=DEFAULT_RING_SAMPLES, n_mi
     "grid" (finite-difference Rayleigh quotients, plus the elliptic
     invariant when f is given), "paper" (closed-form elliptic mean charge).
     Given f, parity and n together, one MathieuWave on the grid's cone
-    supplies q to the grid notes and the paper route, so "paper" needs all
-    three.  An f given at all must pass the cone's ``check_focal``, whatever
-    the methods.  Results are reported side by side, never averaged.
+    supplies q to the grid notes and the paper route; ``check_request``
+    runs first.  An f given at all must pass the cone's ``check_focal``,
+    whatever the methods.  Results are reported side by side, never averaged.
     """
+    check_request(methods, f, parity, n)
     meta = fieldgrid.meta
     if f is not None:
         meta.check_focal(f)
-    wave = None if None in (f, parity, n) else MathieuWave(meta.k, meta.theta, n, parity, f)
-    out = []
-    for method in methods:
-        if method not in ROUTES:
-            raise RangeError(f"unknown method {method!r}")
-        out.append(ROUTES[method](fieldgrid, m=m, n_min=n_min, n_max=n_max, window=window,
-                                  f=f, wave=wave))
-    return out
+    wave = None if parity is None else MathieuWave(meta.k, meta.theta, n, parity, f)
+    return [ROUTES[method](fieldgrid, m=m, n_min=n_min, n_max=n_max, window=window,
+                           f=f, wave=wave) for method in methods]

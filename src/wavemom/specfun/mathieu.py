@@ -46,7 +46,6 @@ MAX_Q = 1.0e6
 
 _TAIL_TOL = 1e-14          # truncation criterion on the last eigenvector entry
 _RESCALE = 1e250           # backward-recurrence overflow guard
-_N_CAP = 2048
 _CHUNK = 2 ** 13           # samples per block of the angular series
 
 # held across every cache lookup, so two threads missing the same key do not
@@ -163,8 +162,8 @@ def _solve(mcls, n, q, size):
     The eigenvector of a low rank decays fast beyond its peak, so a dense
     leading block of the matrix already holds it: the block starts at
     2 rank + 32 rows and doubles until the last entry of its eigenvector is
-    below _TAIL_TOL of the largest, or until it is the whole matrix.  The
-    eigenvector comes back zero-padded to size.
+    below _TAIL_TOL of the largest (a NumericalError if the whole matrix
+    fails that).  The eigenvector comes back zero-padded to size.
     """
     rank = (n - mcls.first_harmonic) // 2
     d, e = _tridiagonal(mcls, q, size)
@@ -180,8 +179,13 @@ def _solve(mcls, n, q, size):
                 f"tridiagonal eigensolver failed for {mcls.parity} n={n} q={q}: {exc}"
             ) from exc
         head = v[:, rank]
-        if block == size or abs(head[-1]) < _TAIL_TOL * np.abs(head).max():
+        if abs(head[-1]) < _TAIL_TOL * np.abs(head).max():
             break
+        if block == size:
+            raise NumericalError(
+                f"coefficient tail not converged at matrix size {size} "
+                f"for {mcls.parity} n={n} q={q}"
+            )
         block = min(2 * block, size)
     vec = np.zeros(size)
     vec[:block] = head
@@ -191,16 +195,7 @@ def _solve(mcls, n, q, size):
 @lru_cache(maxsize=512)
 def _eigen_cached(mcls, n, q):
     size = max(32, 2 * n + math.ceil(2.0 * math.sqrt(q)) + 25)
-    while True:
-        a, vec, d, e = _solve(mcls, n, q, size)
-        if abs(vec[-1]) < _TAIL_TOL * np.abs(vec).max():
-            break
-        if size >= _N_CAP:
-            raise NumericalError(
-                f"coefficient tail not converged at matrix size {_N_CAP} "
-                f"for {mcls.parity} n={n} q={q}"
-            )
-        size = min(2 * size, _N_CAP)
+    a, vec, d, e = _solve(mcls, n, q, size)
 
     if q > 0.0:
         vec = _refine_tail(d, e, a, vec)

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import RangeError
 
 DEFAULT_RING_SAMPLES = 1024
+DEFAULT_CHARGE_WINDOW = (-40, 40)
 MAX_RING_SAMPLES = 2 ** 16
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -38,10 +39,19 @@ def ring_azimuths(m):
     return -math.pi + 2.0 * math.pi * np.arange(m) / m
 
 
-def _check_ring_size(m):
+def check_ring_size(m):
+    """A ring holds a power of two in [256, MAX_RING_SAMPLES] samples."""
     if not 256 <= m <= MAX_RING_SAMPLES or m & (m - 1):
         raise RangeError(
             f"ring sample count must be a power of two in [256, {MAX_RING_SAMPLES}], got {m}")
+
+
+def check_charge_window(n_min, n_max, m):
+    """A charge window [n_min, n_max] must be non-empty and fit in M ring samples."""
+    if n_max < n_min:
+        raise RangeError(f"empty charge range [{n_min}, {n_max}]")
+    if n_max - n_min + 1 > m:
+        raise RangeError(f"charge range [{n_min}, {n_max}] exceeds the {m} ring samples")
 
 
 @dataclass
@@ -54,7 +64,7 @@ class RingSpectrum:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128)
-        _check_ring_size(len(self.samples))
+        check_ring_size(len(self.samples))
         if not np.all(np.isfinite(self.samples.view(np.float64))):
             raise RangeError("ring samples must be finite")
 
@@ -164,7 +174,7 @@ def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
     z planes identical.  The transverse
     wavenumber must stay below the grid Nyquist limit pi / max(dx, dy).
     """
-    _check_ring_size(m)
+    check_ring_size(m)
     meta = fieldgrid.meta
     kt = meta.kt
     nyquist = math.pi / max(fieldgrid.dx, fieldgrid.dy)
@@ -231,19 +241,14 @@ def field_from_ring(ring, x, y, z):
     return out
 
 
-def oam_spectrum(ring, n_min=-40, n_max=40):
+def oam_spectrum(ring, n_min=DEFAULT_CHARGE_WINDOW[0], n_max=DEFAULT_CHARGE_WINDOW[1]):
     """Project a ring profile onto integer topological charges.
 
     Computes the exact M-point discrete version of the circle integral,
     including the (2 pi)^{-1/2} (sin theta)^{1/2} prefactor.
     """
-    if n_max < n_min:
-        raise RangeError(f"empty charge range [{n_min}, {n_max}]")
     m = ring.m
-    if n_max - n_min + 1 > m:
-        raise RangeError(
-            f"charge range [{n_min}, {n_max}] exceeds the {m} ring samples"
-        )
+    check_charge_window(n_min, n_max, m)
     transform = np.fft.fft(ring.samples)
     ns = np.arange(n_min, n_max + 1)
     # e^{-i n phi_m} with phi_m = -pi + 2 pi m / M picks up (-1)^n per charge
@@ -255,7 +260,7 @@ def oam_spectrum(ring, n_min=-40, n_max=40):
 
 def analytic_ring(label, m=DEFAULT_RING_SAMPLES):
     """On-cone ring spectrum of a wave label from its analytic ring profile."""
-    _check_ring_size(m)
+    check_ring_size(m)
     return RingSpectrum(label.k, label.theta, label.ring_profile(ring_azimuths(m)))
 
 

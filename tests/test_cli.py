@@ -661,6 +661,82 @@ def test_ring_samples_cap(small_inputs, capsys, command):
         f"error: ring sample count must be a power of two in [256, 65536], got {2 ** 62}\n"
 
 
+_EMPTY_WINDOW = "empty charge range [5, -5]"
+_RING_100 = "ring sample count must be a power of two in [256, 65536], got 100"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--ring-samples", 100], _RING_100),
+    (["--n-range", "5,-5"], _EMPTY_WINDOW),
+    (["--n-range", "-200,200", "--ring-samples", 256],
+     "charge range [-200, 200] exceeds the 256 ring samples"),
+])
+@pytest.mark.parametrize("methods", ["grid", "spectral,grid"])
+def test_reader_options_checked_whatever_the_methods(small_inputs, capsys, flags, message, methods):
+    # the grid route reads neither option, yet a request it cannot honour is refused
+    assert run(["momenta", "--in", small_inputs / "field.hwmf", "--methods", methods, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["momenta", "--methods", "grid"]])
+@pytest.mark.parametrize("flags,code,message", [
+    # usage errors, then option ranges, then the file
+    (["--n-range", "x,y"], 1, "--n-range: invalid literal for int() with base 10: 'x'"),
+    (["--n-range", "1,2,3"], 1, "--n-range expects two comma-separated values, got '1,2,3'"),
+    (["--n-range", "x,y", "--k", 1], 1, "--n-range: invalid literal for int() with base 10: 'x'"),
+    (["--ring-samples", 100, "--k", 1], 1,
+     "--k/--theta are for csv input; an hwmf file carries its cone"),
+    (["--ring-samples", 100], 2, _RING_100),
+    (["--ring-samples", 100, "--n-range", "5,-5"], 2, _RING_100),
+    (["--n-range", "5,-5"], 2, _EMPTY_WINDOW),
+])
+def test_front_end_check_order(tmp_path, capsys, command, flags, code, message):
+    assert run([*command, "--in", tmp_path / "missing.hwmf", *flags]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_option_ranges_before_the_fields_cone(tmp_path, small_inputs, capsys):
+    # a field past Nyquist, and an --f off the cone, are found only once the file is read
+    out = tmp_path / "n.hwmf"
+    assert run(["gen", "--family", "plane", "--k", 1.0, "--theta", math.pi / 2,
+                "--grid", "16,16", "--dx", math.pi, "--out", out]) == 0
+    assert run(["spectrum", "--in", out, "--n-range", "5,-5"]) == 2
+    assert capsys.readouterr().err == f"error: {_EMPTY_WINDOW}\n"
+    assert run(["momenta", "--in", small_inputs / "field.hwmf", "--f", -5,
+                "--ring-samples", 100]) == 2
+    assert capsys.readouterr().err == f"error: {_RING_100}\n"
+
+
+def test_report_writer(small_inputs, tmp_path):
+    path = tmp_path / "report.json"
+    assert run(["momenta", "--in", small_inputs / "field.hwmf", "--methods", "spectral",
+                "--out", path]) == 0
+    blob = json.loads(path.read_text())
+    assert isinstance(blob, list) and len(blob) == 1
+    assert set(blob[0]) == {"mean_lz", "mean_px", "mean_py", "mean_pz",
+                            "elliptic_invariant", "method", "norm_used",
+                            "window", "notes"}
+    assert blob[0]["elliptic_invariant"] is None
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["spectrum", "--window", "hann"], "--out-summary"),
+    (["momenta", "--methods", "spectral,grid"], "--out"),
+    (["mathieu-table", "--parity", "odd", "--n", 3, "--q", 0.5, "--q-max", 2, "--q-steps", 3],
+     "--out"),
+])
+def test_one_text_sink(small_inputs, tmp_path, capsys, argv, flag):
+    # stdout and the output file get the same bytes
+    if argv[0] != "mathieu-table":
+        argv = [*argv, "--in", small_inputs / "field.hwmf"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "out.txt"
+    assert run([*argv, flag, path]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed and path.read_bytes() == printed.encode("utf-8")
+
+
 def test_q_steps_cap(capsys):
     assert run(["mathieu-table", "--parity", "even", "--n", 2, "--q", 0, "--q-max", 1,
                 "--q-steps", 10 ** 20]) == 1

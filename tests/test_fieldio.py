@@ -13,11 +13,9 @@ from wavemom.fieldio import (
     read_field_csv,
     write_field,
     write_field_csv,
-    report_json_str,
     write_oam_csv,
     write_ring_csv,
 )
-from wavemom.momenta import MomentumReport
 from wavemom.spectral import OamSpectrum, RingSpectrum
 from wavemom.waves import BesselWave, FieldGrid, GridMeta, sample_grid
 
@@ -470,18 +468,6 @@ def test_spectrum_writers(tmp_path):
     # 17 significant digits survive parsing exactly
     n, re, im, abs2 = lines[5].split(",")
     assert n == "2" and float(abs2) == abs(0.5 - 0.5j) ** 2
-
-
-def test_report_writer():
-    rep = MomentumReport(mean_lz=2.0, mean_px=0.1, mean_py=-0.2, mean_pz=0.9,
-                         elliptic_invariant=None, method="spectral",
-                         norm_used=1.25, window="hann", notes="")
-    blob = json.loads(report_json_str([rep]))
-    assert isinstance(blob, list) and len(blob) == 1
-    assert set(blob[0]) == {"mean_lz", "mean_px", "mean_py", "mean_pz",
-                            "elliptic_invariant", "method", "norm_used",
-                            "window", "notes"}
-    assert blob[0]["elliptic_invariant"] is None
 
 
 def test_read_field_missing_file(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wavemom import momenta
-from wavemom.errors import NumericalError, RangeError, UndefinedMeanError
+from wavemom.errors import NumericalError, RangeError, UndefinedMeanError, UsageError
 from wavemom.momenta import (
     grid_mean,
     mean_charge,
@@ -347,5 +347,21 @@ def test_report_spectral_transverse_means():
 
 def test_report_requires_paper_inputs():
     g = sample_grid(BesselWave(K, 0.3, 1), 32, 32, 0.2, 0.2)
-    with pytest.raises(RangeError):
+    with pytest.raises(UsageError):
         report(g, methods=("paper",))
+
+
+@pytest.mark.parametrize("request_kwargs,message", [
+    ({"methods": ()}, "--methods takes a comma list from ['grid', 'paper', 'spectral']"),
+    ({"methods": ("spectral", "psychic")},
+     "--methods takes a comma list from ['grid', 'paper', 'spectral']"),
+    ({"methods": ("spectral",), "parity": "odd", "n": 3},
+     "--parity and --n apply only with --f, --parity and --n together"),
+    ({"methods": ("grid",), "f": 0.5, "n": 3},
+     "--parity and --n apply only with --f, --parity and --n together"),
+])
+def test_report_refuses_what_the_cli_refuses(request_kwargs, message):
+    g = sample_grid(BesselWave(K, 0.3, 1), 32, 32, 0.2, 0.2)
+    with pytest.raises(UsageError) as exc:
+        report(g, **request_kwargs)
+    assert str(exc.value) == message
