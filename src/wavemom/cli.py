@@ -24,6 +24,7 @@ from .errors import (
     UsageError,
 )
 from .specfun import mathieu_eigen
+from .specfun.mathieu import check_q
 
 EXIT_USAGE = 1
 EXIT_RANGE = 2
@@ -203,6 +204,8 @@ def _cmd_mathieu_table(args):
     else:
         if not 2 <= args.q_steps <= MAX_Q_STEPS:
             raise UsageError(f"--q-steps must lie in [2, {MAX_Q_STEPS}], got {args.q_steps}")
+        check_q(args.q, "--q")
+        check_q(args.q_max, "--q-max")
         qs = list(np.linspace(args.q, args.q_max, args.q_steps))
     lines = ["class,n,q,char_value,j,coeff"]
     for q in qs:

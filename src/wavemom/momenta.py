@@ -219,9 +219,12 @@ ROUTES = {"spectral": _spectral_route, "grid": _grid_route, "paper": _paper_rout
 
 
 def check_request(methods, f=None, parity=None, n=None):
-    """UsageError for no or unknown methods, or parity/n (or "paper") without all of f, parity, n."""
+    """UsageError for no, unknown or repeated methods, or parity/n (or "paper") without all of f, parity, n."""
     if not methods or not set(methods) <= set(ROUTES):
         raise UsageError(f"--methods takes a comma list from {sorted(ROUTES)}")
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise UsageError(f"--methods names {repeated[0]} more than once")
     if "paper" in methods and None in (f, parity, n):
         raise UsageError("--methods paper needs --f, --parity and --n")
     if (parity, n) != (None, None) and None in (f, parity, n):

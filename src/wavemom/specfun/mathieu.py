@@ -137,22 +137,30 @@ def _refine_tail(diag, offd, a, vec):
     recurrence essentially exactly.  The recomputed tail is rescaled to
     match the eigenvector at its peak entry, where both sides hold full
     relative accuracy.
+
+    For a tiny q (below about 1e-60) one step of the recurrence can grow
+    past the overflow guard at once; the eigensolver's tail has then
+    underflowed already, and it is returned unrefined.
     """
     size = len(vec)
     peak = int(np.argmax(np.abs(vec)))
     if peak >= size - 3 or np.any(offd[peak:] == 0.0):
         return vec
     t = np.zeros(size)
-    t[size - 1] = 1.0
-    t[size - 2] = (a - diag[size - 1]) / offd[size - 2]
-    for j in range(size - 2, peak, -1):
-        t[j - 1] = ((a - diag[j]) * t[j] - offd[j] * t[j + 1]) / offd[j - 1]
-        if abs(t[j - 1]) > _RESCALE:
-            t[j - 1:] /= _RESCALE
-    if t[peak] == 0.0:
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            t[size - 1] = 1.0
+            t[size - 2] = (a - diag[size - 1]) / offd[size - 2]
+            for j in range(size - 2, peak, -1):
+                t[j - 1] = ((a - diag[j]) * t[j] - offd[j] * t[j + 1]) / offd[j - 1]
+                if abs(t[j - 1]) > _RESCALE:
+                    t[j - 1:] /= _RESCALE
+            if t[peak] == 0.0:
+                return vec
+            out = vec.copy()
+            out[peak + 1:] = (vec[peak] / t[peak]) * t[peak + 1:]
+    except FloatingPointError:
         return vec
-    out = vec.copy()
-    out[peak + 1:] = (vec[peak] / t[peak]) * t[peak + 1:]
     return out
 
 
@@ -219,6 +227,17 @@ def _eigen_cached(mcls, n, q):
     return MathieuEigen(mcls, n, float(q), a, vec, size)
 
 
+def check_q(q, name="q"):
+    """Refuse a separation parameter that is not finite, is negative or exceeds MAX_Q.
+
+    ``name`` is how the message calls q, such as the flag it came from.
+    """
+    if not math.isfinite(q) or q < 0.0:
+        raise RangeError(f"separation parameter {name} must be finite and >= 0, got {q}")
+    if q > MAX_Q:
+        raise RangeError(f"{name} = {q:g} exceeds supported maximum {MAX_Q:g}")
+
+
 def mathieu_eigen(parity, n, q):
     """Characteristic value a_n(q)/b_n(q) and expansion coefficients.
 
@@ -229,10 +248,7 @@ def mathieu_eigen(parity, n, q):
     """
     mcls = MathieuClass.from_order(parity, n)  # validates parity and order
     q = float(q)
-    if not math.isfinite(q) or q < 0.0:
-        raise RangeError(f"separation parameter q must be finite and >= 0, got {q}")
-    if q > MAX_Q:
-        raise RangeError(f"q = {q:g} exceeds supported maximum {MAX_Q:g}")
+    check_q(q)
     with _CACHE_LOCK:
         return _eigen_cached(mcls, int(n), q)
 

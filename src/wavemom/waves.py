@@ -7,6 +7,12 @@ functions), or the order n together with the semi-focal distance f
 (elliptic waves built on Mathieu functions).  All families share the
 transverse wavenumber k_t = k sin(theta) and the axial phase rate
 k cos(theta).
+
+A family is a ``Cone`` plus its labels and two methods:
+``ring_profile(phi)``, its on-cone angular spectrum at the uniform ring
+azimuths ``phi`` (see ``spectral.ring_azimuths``), and ``sample(x, y, z)``,
+the complex field on the grid of 1-D axes x, y at plane z, of shape
+(len(y), len(x)).  A single point is a one-sample grid.
 """
 
 import math
@@ -30,7 +36,7 @@ _BELOW_PI = math.nextafter(math.pi, 0.0)
 _ABOVE_ZERO = math.ulp(0.0)
 MAX_SAMPLES = 2 ** 26  # nx * ny: 1 GiB of complex128 samples
 _ALIASING = 1e-16  # bound on the ring-sum aliasing of a synthesised Bessel grid
-_ROWS = 32  # grid rows per block of Wave.sample
+_ROWS = 32  # grid rows per block of MathieuWave.sample
 
 
 @dataclass(frozen=True)
@@ -65,29 +71,7 @@ class Cone:
 
 
 @dataclass(frozen=True)
-class Wave(Cone):
-    """A separable wave on its cone, paired with its ring amplitude.
-
-    Each family adds its own labels and implements ``ring_profile(phi)``, its
-    on-cone angular spectrum at the uniform ring azimuths ``phi`` (see
-    ``spectral.ring_azimuths``).  Plane and Mathieu waves also implement
-    ``field(x, y, z)``, the complex field at points given as scalars or
-    broadcastable arrays; a Bessel wave is its ring profile and overrides
-    ``sample`` instead.
-    """
-
-    def sample(self, x, y, z):
-        """The field on the grid of 1-D axes x, y at plane z, shape (len(y), len(x)).
-
-        ``field`` gets the x axis and a column of _ROWS y values at a time,
-        which it broadcasts, so its temporaries are the size of one block.
-        """
-        x, y = _axis(x), _axis(y)
-        return _by_rows(x, y, lambda i0, rows: self.field(x, rows, z))
-
-
-@dataclass(frozen=True)
-class PlaneWave(Wave):
+class PlaneWave(Cone):
     """Plane wave labelled by (k, theta, phi)."""
 
     phi: float
@@ -98,12 +82,14 @@ class PlaneWave(Wave):
         if not (-math.pi <= self.phi < math.pi):
             raise RangeError(f"azimuth phi must lie in [-pi, pi), got {self.phi}")
 
-    def field(self, x, y, z):
-        """sqrt(sin theta) e^{i (k_t (x cos phi + y sin phi) + k_z z)}."""
+    def sample(self, x, y, z):
+        """sqrt(sin theta) e^{i (k_t (x cos phi + y sin phi) + k_z z)} on a grid, the outer
+        product of a y column and an x row, so no phase summed over both axes is rounded."""
+        x, y = _axis(x), _axis(y)
         kx = self.kt * math.cos(self.phi)
         ky = self.kt * math.sin(self.phi)
-        phase = kx * x + ky * y + self.kz * z
-        return math.sqrt(math.sin(self.theta)) * np.exp(1j * phase)
+        column = math.sqrt(math.sin(self.theta)) * np.exp(1j * (ky * y + self.kz * z))
+        return column[:, None] * np.exp(1j * kx * x)
 
     def ring_profile(self, phi):
         """A regularised azimuth delta.
@@ -121,7 +107,7 @@ class PlaneWave(Wave):
 
 
 @dataclass(frozen=True)
-class BesselWave(Wave):
+class BesselWave(Cone):
     """Circular-cylindrical wave labelled by (k, theta, n)."""
 
     n: int
@@ -160,7 +146,7 @@ class BesselWave(Wave):
 
 
 @dataclass(frozen=True)
-class MathieuWave(Wave):
+class MathieuWave(Cone):
     """Elliptic-cylindrical wave labelled by (k, theta, n) on foci at +-f."""
 
     n: int
@@ -181,44 +167,39 @@ class MathieuWave(Wave):
         """Separation parameter (f k sin(theta) / 2)^2 for foci at +-f."""
         return (self.f * self.kt / 2.0) ** 2
 
-    def field(self, x, y, z, reach=None):
-        """sqrt(sin theta) c_n Ce_n(xi) ce_n(eta) e^{i k_z z}, or the s_n Se_n se_n odd form.
+    def sample(self, x, y, z):
+        """sqrt(sin theta) c_n Ce_n(xi) ce_n(eta) e^{i k_z z}, or the s_n Se_n se_n odd form, on a grid.
 
-        Points are mapped through :func:`elliptic_coords`; the result is
+        Points are mapped through :func:`elliptic_coords` _ROWS grid rows at
+        a time, so the temporaries are the size of one block.  The result is
         continuous across the inter-foci segment because the angular and
         radial factors are jointly even (even parity) or jointly odd (odd
-        parity) under the eta branch flip there.  Points beyond the
-        supported radial range raise a RangeError naming the first one.
-        The radial terms are chosen for the largest xi of the points, or for
-        ``reach`` when given (see ``sample``).
-        """
-        xi, eta = elliptic_coords(x, y, self.f)
-        q = self.q
-        radial = mathieu_ce_radial if self.parity == "even" else mathieu_se_radial
-        rad = radial(self.n, q, xi, reach)
-        cn = mathieu_norm_constant(self.parity, self.n, q)
-        ang = self._angular(eta)
-        carrier = np.exp(1j * self.kz * np.asarray(z, dtype=float))
-        return math.sqrt(math.sin(self.theta)) * cn * rad * ang * carrier
-
-    def sample(self, x, y, z):
-        """Wave.sample, with every block summing the radial terms of the whole grid.
+        parity) under the eta branch flip there.
 
         xi grows with |x| and with |y|, so the grid's largest xi lies at its
-        largest |x| and |y|; the radial terms are chosen for that xi, as a
-        single call on the whole grid would choose them.  When it is beyond
-        the radial range, every block is checked before any is evaluated, so
-        the refusal names the first offending sample by its grid index (a
-        block summed with terms chosen for that xi could first refuse with
-        an overflow).
+        largest |x| and |y|; every block sums the radial terms chosen for
+        that xi, as a single call on the whole grid would choose them.  When
+        it is beyond the radial range, every block is checked before any is
+        evaluated, so the RangeError names the first offending sample by its
+        grid index (a block summed with terms chosen for that xi could first
+        refuse with an overflow).
         """
         x, y = _axis(x), _axis(y)
+        q = self.q
         far_x, far_y = (np.unique(a[np.abs(a) == np.abs(a).max()]) for a in (x, y))
         reach = float(elliptic_coords(far_x, far_y[:, None], self.f)[0].max())
-        if reach > radial_xi_max(self.q):
+        if reach > radial_xi_max(q):
             for i0 in range(0, len(y), _ROWS):
-                check_radial_range(self.q, elliptic_coords(x, y[i0:i0 + _ROWS, None], self.f)[0], i0)
-        return _by_rows(x, y, lambda i0, rows: self.field(x, rows, z, reach))
+                check_radial_range(q, elliptic_coords(x, y[i0:i0 + _ROWS, None], self.f)[0], i0)
+        radial = mathieu_ce_radial if self.parity == "even" else mathieu_se_radial
+        scale = math.sqrt(math.sin(self.theta)) * mathieu_norm_constant(self.parity, self.n, q)
+        carrier = np.exp(1j * self.kz * np.asarray(z, dtype=float))
+        out = np.empty((len(y), len(x)), dtype=np.complex128)
+        for i0 in range(0, len(y), _ROWS):
+            xi, eta = elliptic_coords(x, y[i0:i0 + _ROWS, None], self.f)
+            out[i0:i0 + _ROWS] = scale * radial(self.n, q, xi, reach) * self._angular(eta) * carrier
+            del xi, eta  # so one block's coordinates are freed before the next block's are built
+        return out
 
     def ring_profile(self, phi):
         """(pi sin theta)^{-1/2} ce_n(phi; q), or se_n for odd parity."""
@@ -338,14 +319,6 @@ class FieldGrid:
 def _axis(values):
     """A grid axis given as any sequence, as a flat float array."""
     return np.asarray(values, dtype=float).ravel()
-
-
-def _by_rows(x, y, block):
-    """The (len(y), len(x)) grid of block(i0, y[i0:i0 + _ROWS] as a column), filled in row blocks."""
-    out = np.empty((len(y), len(x)), dtype=np.complex128)
-    for i0 in range(0, len(y), _ROWS):
-        out[i0:i0 + _ROWS] = block(i0, y[i0:i0 + _ROWS, None])
-    return out
 
 
 def elliptic_coords(x, y, f):

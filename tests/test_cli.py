@@ -280,15 +280,13 @@ from wavemom import cli
 assert not [name for name in sys.modules if name.startswith("scipy")]
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-# and every wave family evaluates through each method it has
+# and every wave family evaluates through both of its methods
 from wavemom import spectral, waves
 for family in waves.FAMILIES:
     labels = {"plane": {}, "bessel": {"n": 1}}.get(family, {"n": 1, "f": 0.4})
     wave = waves.make_wave(family, 6.0, 0.5, **labels)
     wave.sample([0.1, 0.2], [0.3], 0.0)
     spectral.analytic_ring(wave, 256)
-    if hasattr(wave, "field"):
-        wave.field(0.1, 0.3, 0.0)
 """
 
 
@@ -602,6 +600,11 @@ def test_momenta_elliptic_labels_name_one_wave(mathieu_input, capsys, flags, cod
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_momenta_refuses_a_repeated_method(small_inputs, capsys):
+    assert run(["momenta", "--in", small_inputs / "field.hwmf", "--methods", "grid,grid,spectral"]) == 1
+    assert capsys.readouterr().err == "error: --methods names grid more than once\n"
+
+
 def test_gen_refuses_q_beyond_the_cap(tmp_path, capsys):
     assert run(["gen", "--family", "mathieu-even", "--k", K, "--theta", ELL_THETA, "--n", 2,
                 "--f", 1e300, "--grid", "16,16", "--out", tmp_path / "x.hwmf"]) == 2
@@ -742,6 +745,25 @@ def test_q_steps_cap(capsys):
                 "--q-steps", 10 ** 20]) == 1
     assert capsys.readouterr().err == \
         f"error: --q-steps must lie in [2, 100000], got {10 ** 20}\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--q", 0, "--q-max", "inf"], "separation parameter --q-max must be finite and >= 0, got inf"),
+    (["--q", -1e308, "--q-max", 1e308], "separation parameter --q must be finite and >= 0, got -1e+308"),
+    (["--q", 0, "--q-max", 2e6], "--q-max = 2e+06 exceeds supported maximum 1e+06"),
+])
+def test_mathieu_table_checks_its_q_range_at_entry(capsys, flags, message):
+    assert run(["mathieu-table", "--parity", "even", "--n", 2, *flags, "--q-steps", 3]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_mathieu_table_at_tiny_q(capsys):
+    # ce_2 = cos 2u + q / 4 + O(q^2): A_0 = q / 4 and a_2 = 4 to double precision
+    assert run(["mathieu-table", "--parity", "even", "--n", 2, "--q", 1e-100]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:5] for row in rows] == [["ce-even", "2", "1e-100", "4", "0"],
+                                         ["ce-even", "2", "1e-100", "4", "2"]]
+    assert [float(row[5]) for row in rows] == pytest.approx([2.5e-101, 1.0], rel=1e-12, abs=0.0)
 
 
 def test_benchmark_tracer_binds_every_traced_name():

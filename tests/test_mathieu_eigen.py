@@ -42,6 +42,19 @@ def test_q_zero_limits():
             assert len(eig.coeffs) == (n - eig.mathieu_class.first_harmonic) // 2 + 1
 
 
+@pytest.mark.parametrize("q", (1e-65, 1e-100, 1e-300, 5e-324))
+@pytest.mark.parametrize("parity,n", [("even", 0), ("even", 1), ("even", 2), ("even", 7),
+                                      ("odd", 1), ("odd", 2)])
+def test_tiny_q_is_inside_the_domain(parity, n, q):
+    # the backward recurrence of the refined tail would overflow here (a RuntimeWarning
+    # and NaN coefficients); the eigensolver's own tail has already underflowed
+    eig = mathieu_eigen(parity, n, q)
+    assert np.all(np.isfinite(eig.coeffs))
+    assert eig.char_value == pytest.approx(n * n, abs=1e-15)
+    expected = 1.0 / math.sqrt(2.0) if (parity, n) == ("even", 0) else 1.0
+    assert eig.coeff_for_harmonic(n) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 def test_double_truncation_oracle_a0():
     small = mathieu_char_value("even", 0, 1.0, 50)
     large = mathieu_char_value("even", 0, 1.0, 200)

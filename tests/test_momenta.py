@@ -359,6 +359,7 @@ def test_report_requires_paper_inputs():
      "--parity and --n apply only with --f, --parity and --n together"),
     ({"methods": ("grid",), "f": 0.5, "n": 3},
      "--parity and --n apply only with --f, --parity and --n together"),
+    ({"methods": ("grid", "spectral", "grid")}, "--methods names grid more than once"),
 ])
 def test_report_refuses_what_the_cli_refuses(request_kwargs, message):
     g = sample_grid(BesselWave(K, 0.3, 1), 32, 32, 0.2, 0.2)

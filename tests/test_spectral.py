@@ -408,7 +408,7 @@ def test_wave_equals_charge_superposition(parity, n):
                 continue
             acc += (c * (1j ** (int(charge) % 4)) * special.jv(int(charge), kt * r)
                     * cmath.exp(1j * charge * ph))
-        lhs = label.field(x, y, 0.0)
+        lhs = label.sample([x], [y], 0.0)[0, 0]
         assert lhs == pytest.approx(scale * acc, rel=2e-8, abs=1e-10)
 
 

@@ -32,10 +32,15 @@ J1_FIRST_MAX = 1.8411837813406593
 
 # -------------------------------------------------------------- plane
 
+def _at(wave, x, y, z):
+    """The field of any family at one point, from its one-sample grid."""
+    return wave.sample(np.array([x]), np.array([y]), z)[0, 0]
+
+
 def test_plane_wave_values():
     w = PlaneWave(1.0, math.pi / 2, 0.0)
-    assert w.field(0.0, 0.0, 0.0) == pytest.approx(1.0 + 0.0j)
-    assert w.field(math.pi, 0.0, 0.0) == pytest.approx(-1.0 + 0.0j, abs=1e-12)
+    assert _at(w, 0.0, 0.0, 0.0) == pytest.approx(1.0 + 0.0j)
+    assert _at(w, math.pi, 0.0, 0.0) == pytest.approx(-1.0 + 0.0j, abs=1e-12)
 
 
 @settings(max_examples=30)
@@ -43,7 +48,7 @@ def test_plane_wave_values():
        st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
 def test_plane_wave_modulus(theta, phi, x, y, z):
     w = PlaneWave(2.0, theta, phi)
-    val = w.field(x, y, z)
+    val = _at(w, x, y, z)
     assert abs(val) == pytest.approx(math.sqrt(math.sin(theta)), rel=1e-12)
 
 
@@ -53,10 +58,25 @@ def test_plane_wave_py_eigenvalue_by_phase_difference():
     dy = 1e-4
     for _ in range(10):
         x, y, z = rng.uniform(-3, 3, size=3)
-        up = w.field(x, y + dy, z)
-        dn = w.field(x, y - dy, z)
+        up = _at(w, x, y + dy, z)
+        dn = _at(w, x, y - dy, z)
         rate = cmath.phase(up * dn.conjugate()) / (2.0 * dy)
         assert rate == pytest.approx(w.k * math.sin(w.theta) * math.sin(w.phi), abs=1e-6)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+def test_plane_wave_grid_at_large_phases():
+    # phases reach 5.8e3 here; against the same phase in 64-bit-mantissa precision the
+    # product of a y column and an x row measured 3.0e-13, where a phase summed over
+    # both axes and rounded once measured 7.0e-13 (mpmath at 113 bits agrees)
+    w = PlaneWave(2.0 * math.pi, 0.9, -2.1)
+    g = sample_grid(w, 75, 50, 29.2, 29.2, z=11.0)
+    ld = np.longdouble
+    phase = (ld(w.kt * math.cos(w.phi)) * g.x().astype(ld)
+             + (ld(w.kt * math.sin(w.phi)) * g.y().astype(ld) + ld(w.kz) * ld(11.0))[:, None])
+    amp = np.sqrt(np.sin(ld(w.theta)))
+    err = np.hypot(g.values.real - amp * np.cos(phase), g.values.imag - amp * np.sin(phase))
+    assert err.max() <= 4e-13
 
 
 def test_plane_wave_label_validation():
@@ -71,11 +91,6 @@ def test_plane_wave_label_validation():
 
 
 # ------------------------------------------------------------- bessel
-
-def _at(wave, x, y, z):
-    """The field of any family at one point, from its one-sample grid."""
-    return wave.sample(np.array([x]), np.array([y]), z)[0, 0]
-
 
 def test_bessel_wave_at_origin():
     # J_n(0) = 0 for n != 0, where the synthesis sums M ring phases that cancel to rounding
@@ -172,9 +187,9 @@ def _matching_q_label(parity, n, q_target=1.0):
 def test_odd_wave_vanishes_between_foci():
     w = _matching_q_label("odd", 1)
     for frac in (0.0, 0.4, 0.9):
-        val = w.field(frac * w.f, 0.0, 0.0)
+        val = _at(w, frac * w.f, 0.0, 0.0)
         assert abs(val) < 1e-12
-        val = w.field(-frac * w.f, 0.0, 0.0)
+        val = _at(w, -frac * w.f, 0.0, 0.0)
         assert abs(val) < 1e-12
 
 
@@ -183,7 +198,7 @@ def test_even_wave_value_at_origin():
     q = w.q
     expected = (math.sqrt(math.sin(w.theta)) * mathieu_norm_constant("even", 0, q)
                 * mathieu_ce_radial(0, q, 0.0) * mathieu_ce(0, q, math.pi / 2))
-    assert w.field(0.0, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
+    assert _at(w, 0.0, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_even_wave_on_axis_composition():
@@ -195,22 +210,22 @@ def test_even_wave_on_axis_composition():
     assert eta == 0.0
     expected = (math.sqrt(math.sin(w.theta)) * mathieu_norm_constant("even", 2, q)
                 * mathieu_ce_radial(2, q, math.acosh(1.2)) * mathieu_ce(2, q, 0.0))
-    assert w.field(x, 0.0, 0.0) == pytest.approx(expected, rel=1e-10)
+    assert _at(w, x, 0.0, 0.0) == pytest.approx(expected, rel=1e-10)
 
 
 def test_mathieu_wave_continuous_across_segment():
     for parity, n in (("even", 1), ("odd", 2)):
         w = _matching_q_label(parity, n)
         x = 0.55 * w.f
-        above = w.field(x, 1e-9 * w.f, 0.0)
-        below = w.field(x, -1e-9 * w.f, 0.0)
+        above = _at(w, x, 1e-9 * w.f, 0.0)
+        below = _at(w, x, -1e-9 * w.f, 0.0)
         assert above == pytest.approx(below, abs=2e-8 * (1 + abs(above)))
 
 
 def test_mathieu_axial_phase():
     w = _matching_q_label("even", 2)
-    v0 = w.field(0.8 * w.f, 0.3 * w.f, 0.0)
-    v1 = w.field(0.8 * w.f, 0.3 * w.f, 0.25)
+    v0 = _at(w, 0.8 * w.f, 0.3 * w.f, 0.0)
+    v1 = _at(w, 0.8 * w.f, 0.3 * w.f, 0.25)
     assert v1 == pytest.approx(v0 * cmath.exp(1j * w.kz * 0.25), rel=1e-12)
 
 
@@ -233,8 +248,9 @@ def test_sample_grid_matches_pointwise_eval():
     g = sample_grid(w, 16, 16, 0.2, 0.25, x0=-1.0, y0=-2.0, z=0.1)
     x, y = g.x(), g.y()
     for i, j in ((0, 0), (7, 3), (15, 15)):
+        phase = w.kt * (x[j] * math.cos(w.phi) + y[i] * math.sin(w.phi)) + w.kz * 0.1
         assert g.values[i, j] == pytest.approx(
-            w.field(x[j], y[i], 0.1), rel=1e-12)
+            math.sqrt(math.sin(w.theta)) * cmath.exp(1j * phase), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", range(-5, 6))
@@ -362,14 +378,34 @@ def test_mathieu_sampling_working_memory():
 
 def test_mathieu_grid_blocks_sum_the_whole_grids_terms():
     # every row block sums the radial terms chosen for the whole grid, so the
-    # sampled grid equals the field evaluated on the whole grid at once
+    # sampled grid equals the public pieces evaluated on the whole grid at once
     # (terms chosen per block changed 20 of these samples in their last bits)
     w = _matching_q_label("even", 0)
     ny = 3 * waves._ROWS + 5
     d = 2.0 * w.f * math.sinh(0.94 * radial_xi_max(w.q)) / math.sqrt(2.0) / max(160, ny)
     g = sample_grid(w, 160, ny, d, d)
-    whole = w.field(*np.meshgrid(g.x(), g.y(), sparse=True), 0.0)
+    xi, eta = elliptic_coords(*np.meshgrid(g.x(), g.y(), sparse=True), w.f)
+    scale = math.sqrt(math.sin(w.theta)) * mathieu_norm_constant("even", 0, w.q)
+    whole = scale * mathieu_ce_radial(0, w.q, xi) * mathieu_ce(0, w.q, eta) * np.exp(1j * w.kz * 0.0)
     assert g.values.tobytes() == whole.tobytes()
+
+
+def test_mathieu_grid_takes_its_norm_constant_once(monkeypatch):
+    calls = []
+    norm = waves.mathieu_norm_constant
+    monkeypatch.setattr(waves, "mathieu_norm_constant",
+                        lambda *args: calls.append(args) or norm(*args))
+    w = _matching_q_label("odd", 1)
+    sample_grid(w, 16, 3 * waves._ROWS + 5, 0.01, 0.01)
+    assert calls == [("odd", 1, w.q)]
+
+
+def test_each_family_is_a_cone_with_a_ring_profile_and_a_sampler():
+    for cls, _ in waves.FAMILIES.values():
+        assert cls.__bases__ == (waves.Cone,)
+        methods = {name for name in dir(cls) if not name.startswith("_")
+                   and callable(getattr(cls, name)) and not hasattr(waves.Cone, name)}
+        assert methods == {"ring_profile", "sample"}
 
 
 def test_field_grid_validation():
