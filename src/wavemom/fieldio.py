@@ -186,19 +186,33 @@ def _scan_rows(path):
     return data
 
 
+def _loadtxt(source, skiprows):
+    """numpy's bulk parse of x,y,re,im rows from a path or an iterable of lines."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file with no rows
+        return np.loadtxt(source, delimiter=",", comments=None, ndmin=2,
+                          skiprows=skiprows, encoding="utf-8")
+
+
 def _load_rows(path):
     """All data rows as an (n, 4) float array, parsed in one numpy pass when possible."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        header = fh.readline().split(",")[0].strip().lower() == "x"
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file with no rows
-            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                              skiprows=int(header), encoding="utf-8")
-    except ValueError:  # ragged rows, bad tokens, whitespace-only lines, invalid UTF-8
-        return _scan_rows(path)
-    if data.shape[0] == 0 or data.shape[1] != 4 or not np.isfinite(data).all():
-        return _scan_rows(path)
+        header = int(fh.readline().split(",")[0].strip().lower() == "x")
+        fh.seek(0)
+        try:
+            data = _loadtxt(path, header)
+        except ValueError:  # ragged rows, bad tokens, whitespace-only lines, invalid UTF-8
+            data = None
+            # loadtxt skips empty lines but refuses whitespace-only ones, which
+            # the format skips too; only a file that has one is parsed again
+            if any(line.isspace() and line != "\n" for line in fh):
+                fh.seek(0)
+                try:
+                    data = _loadtxt((line for line in fh if not line.isspace()), header)
+                except ValueError:
+                    pass
+    if data is None or data.shape[0] == 0 or data.shape[1] != 4 or not np.isfinite(data).all():
+        return _scan_rows(path)  # names the first bad line or non-finite value
     return data
 
 
@@ -223,14 +237,29 @@ def read_field_csv(path, k, theta):
     ys, dy = _lattice_axis(y, path, "y")
     nx, ny = len(xs), len(ys)
 
-    j = np.rint((x - xs[0]) / dx)
-    i = np.rint((y - ys[0]) / dy)
-    off = ((j < 0) | (j >= nx) | (i < 0) | (i >= ny)
-           | (np.abs(xs[0] + j * dx - x) > 1e-6 * dx)
-           | (np.abs(ys[0] + i * dy - y) > 1e-6 * dy))
+    # One buffer holds each axis's node index rint((c - c0) / step) and then
+    # the row's distance |c0 + index * step - c| from that node, y before x,
+    # so that flat gathers i * nx + j.  Clipping moves only rows already off
+    # the lattice, and lets every index cast to an integer.
+    n = len(data)
+    flat = np.zeros(n, dtype=np.intp)
+    off = np.zeros(n, dtype=bool)
+    buf = np.empty(n)
+    for c, c0, step, count in ((y, ys[0], dy, ny), (x, xs[0], dx, nx)):
+        np.rint(np.divide(np.subtract(c, c0, out=buf), step, out=buf), out=buf)
+        off |= buf < 0
+        off |= buf >= count
+        np.clip(buf, 0, count - 1, out=buf)
+        flat *= count
+        np.add(flat, buf, out=flat, dtype=np.intp, casting="unsafe")
+        np.abs(np.subtract(np.add(c0, np.multiply(buf, step, out=buf), out=buf), c, out=buf),
+               out=buf)
+        off |= buf > 1e-6 * step
+    del buf
     bad = _first(off)
-    end = len(data) if bad is None else bad  # rows before the first off-lattice one
-    flat = i[:end].astype(np.intp) * nx + j[:end].astype(np.intp)
+    del off
+    end = n if bad is None else bad  # rows before the first off-lattice one
+    flat = flat[:end]
     # sorting, unlike counting per node, needs no nx*ny array for a lattice
     # that the rows cannot fill (a diagonal of n rows infers an n x n grid)
     nodes = np.sort(flat)
@@ -249,10 +278,12 @@ def read_field_csv(path, k, theta):
             f"{path}: incomplete lattice, first missing node at "
             f"({xs[0] + j * dx:g}, {ys[0] + i * dy:g})"
         )
-    values = np.empty(nx * ny, dtype=np.complex128)
-    values[flat] = data[:, 2] + 1j * data[:, 3]
+    del nodes
+    # each row's (re, im) pair, read in place as one complex, is placed bit for bit
+    values = np.empty((ny, nx), dtype=np.complex128)
+    values.reshape(-1)[flat] = data.view(np.complex128)[:, 1]
     try:  # the values are checked above, so only the inferred geometry can fail here
-        return FieldGrid(nx, ny, dx, dy, float(xs[0]), float(ys[0]), values.reshape(ny, nx), meta)
+        return FieldGrid(nx, ny, dx, dy, float(xs[0]), float(ys[0]), values, meta)
     except RangeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -194,11 +194,12 @@ def test_missing_header_newline(tmp_path):
 
 def test_csv_round_trip(tmp_path):
     g = random_grid(seed=3)
+    g.values[0, :2] = [complex(0.0, -0.0), complex(-0.0, 5e-324)]
     path = tmp_path / "field.csv"
     write_field_csv(g, path)
     back = read_field_csv(path, k=g.meta.k, theta=g.meta.theta)
-    # 17 significant digits round-trip doubles exactly; 1e-15 is the contract
-    assert np.abs(back.values - g.values).max() <= 1e-15 * np.abs(g.values).max()
+    # 17 significant digits round-trip doubles exactly, signed zeros included
+    assert back.values.tobytes() == g.values.tobytes()
     assert back.nx == g.nx and back.ny == g.ny
     assert back.dx == pytest.approx(g.dx, rel=1e-12)
     assert back.x0 == pytest.approx(g.x0, rel=1e-12)
@@ -298,7 +299,7 @@ def _reference_read(path):
     dx, dy = float(np.median(np.diff(xs))), float(np.median(np.diff(ys)))
     values = np.zeros((len(ys), len(xs)), dtype=np.complex128)
     for xv, yv, re, im in rows:
-        values[int(round((yv - ys[0]) / dy)), int(round((xv - xs[0]) / dx))] = re + 1j * im
+        values[int(round((yv - ys[0]) / dy)), int(round((xv - xs[0]) / dx))] = complex(re, im)
     return values, dx, dy, float(xs[0]), float(ys[0])
 
 
@@ -391,6 +392,25 @@ def test_csv_sparse_lattice_memory(tmp_path):
         tracemalloc.stop()
     assert message == f"{path}: incomplete lattice, first missing node at (1, 0)"
     assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("whitespace_line", [False, True])
+def test_csv_read_working_memory(tmp_path, whitespace_line):
+    # the rows (2x the field) plus the field plus one index array; a
+    # whitespace-only line still takes numpy's bulk parse, not the row loop
+    g, path, lines = _csv_lines(tmp_path, nx=256, ny=256)
+    body = [lines[i + 1] for i in np.random.default_rng(2).permutation(len(lines) - 1)]
+    if whitespace_line:
+        body.insert(len(body) // 2, " \t ")
+    path.write_text("\n".join(lines[:1] + body) + "\n")
+    tracemalloc.start()
+    try:
+        back = read_field_csv(path, 2.0, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == g.values.tobytes()
+    assert peak <= 4.0 * g.values.nbytes
 
 
 def test_csv_non_finite_after_blank_lines(tmp_path):
