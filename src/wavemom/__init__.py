@@ -33,7 +33,7 @@ from .spectral import (
     plancherel_overlap,
     ring_spectrum_from_grid,
 )
-from .specfun import (
+from .specfun.mathieu import (
     mathieu_ce,
     mathieu_ce_radial,
     mathieu_eigen,

@@ -7,7 +7,6 @@ angles are radians unless --degrees is given.
 
 import argparse
 import dataclasses
-import json
 import math
 import re
 import sys
@@ -23,8 +22,7 @@ from .errors import (
     UndefinedMeanError,
     UsageError,
 )
-from .specfun import mathieu_eigen
-from .specfun.mathieu import check_q
+from .specfun.mathieu import check_q, mathieu_eigen
 
 EXIT_USAGE = 1
 EXIT_RANGE = 2
@@ -52,15 +50,6 @@ def _pair(text, kind, flag):
         return kind(parts[0]), kind(parts[1])
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from exc
-
-
-def _emit(text, path):
-    """Write text to path, or to stdout when no path is given."""
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def build_parser():
@@ -180,7 +169,7 @@ def _cmd_spectrum(args):
         "weighted_ring_norm": math.sin(ring.theta) * spectral.parseval_norm(ring),
         "parseval_residual": spectral.parseval_residual(ring, spec),
     }
-    _emit(json.dumps(summary, indent=2) + "\n", args.out_summary)
+    fieldio.write_json(summary, args.out_summary)
     return 0
 
 
@@ -192,7 +181,7 @@ def _cmd_momenta(args):
         grid, methods=methods, m=args.ring_samples, n_min=n_min, n_max=n_max,
         window=args.window, f=args.f, parity=args.parity, n=args.n,
     )
-    _emit(json.dumps([dataclasses.asdict(r) for r in reports], indent=2) + "\n", args.out)
+    fieldio.write_json([dataclasses.asdict(r) for r in reports], args.out)
     return 0
 
 
@@ -207,15 +196,8 @@ def _cmd_mathieu_table(args):
         check_q(args.q, "--q")
         check_q(args.q_max, "--q-max")
         qs = list(np.linspace(args.q, args.q_max, args.q_steps))
-    lines = ["class,n,q,char_value,j,coeff"]
-    for q in qs:
-        eig = mathieu_eigen(args.parity, args.n, q)
-        for j, coeff in zip(eig.harmonics, eig.coeffs):
-            lines.append(
-                f"{eig.mathieu_class.tag},{args.n},{float(q):.17g},{eig.char_value:.17g},"
-                f"{int(j)},{float(coeff):.17g}"
-            )
-    _emit("\n".join(lines) + "\n", args.out)
+    eigens = [mathieu_eigen(args.parity, args.n, q) for q in qs]  # all solved before the file opens
+    fieldio.write_mathieu_table(qs, eigens, args.out)
     return 0
 
 

@@ -5,11 +5,14 @@ terminated by a newline, followed by nx*ny complex samples as little-endian
 IEEE-754 double pairs (re, im), row-major with the y index outermost.  The
 byte order is fixed regardless of host so golden files are portable.  CSV
 emissions print floats with 17 significant digits, which round-trips
-doubles exactly.
+doubles exactly.  Every text output, CSV or JSON, is written as UTF-8 with
+"\n" line ends to its path, or to stdout when no path is given.
 """
 
 import json
+import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -121,18 +124,28 @@ def _fmt(values):
     return [f"{v:.17g}" for v in np.asarray(values, dtype=float).tolist()]
 
 
+def _write_text(path, chunks):
+    """Write each string of chunks to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
+
+
+def write_json(data, path):
+    """Write data as indented JSON and a final newline."""
+    _write_text(path, [json.dumps(data, indent=2) + "\n"])
+
+
 def _write_csv(path, header, blocks):
     """Write a header line, then each block of equal-length string columns as rows.
 
     Each block is joined and written with one call, so callers bound memory
     by the block size.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for columns in blocks:
-            lines = "\n".join(map(",".join, zip(*columns)))
-            if lines:
-                fh.write(lines + "\n")
+    lines = ("\n".join(chain(map(",".join, zip(*columns)), [""])) for columns in blocks)
+    _write_text(path, chain([header + "\n"], lines))
 
 
 def write_field_csv(fieldgrid, path):
@@ -299,3 +312,13 @@ def write_oam_csv(spec, path):
     c = spec.coeffs
     _write_csv(path, "n,re,im,abs2", [([str(n) for n in spec.charges()], _fmt(c.real),
                                        _fmt(c.imag), _fmt([abs(v) ** 2 for v in c]))])
+
+
+def write_mathieu_table(qs, eigens, path):
+    """The eigenpair of each q as CSV rows class,n,q,char_value,j,coeff, one eigenpair per block.
+
+    q is printed as given: the eigenpair cache may hold 0.0 for a -0.0.
+    """
+    blocks = (([",".join([e.mathieu_class.tag, str(e.n), *_fmt([q, e.char_value])])] * len(e.coeffs),
+               map(str, e.harmonics.tolist()), _fmt(e.coeffs)) for q, e in zip(qs, eigens))
+    _write_csv(path, "class,n,q,char_value,j,coeff", blocks)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError, RangeError, UndefinedMeanError, UsageError
 from .spectral import DEFAULT_CHARGE_WINDOW, DEFAULT_RING_SAMPLES, oam_spectrum, ring_spectrum_from_grid
-from .specfun import mathieu_eigen
+from .specfun.mathieu import mathieu_eigen
 from .waves import MathieuWave
 
 GRID_OPS = ("lz", "px", "py", "elliptic")

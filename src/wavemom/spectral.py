@@ -28,6 +28,7 @@ from .errors import RangeError
 DEFAULT_RING_SAMPLES = 1024
 DEFAULT_CHARGE_WINDOW = (-40, 40)
 MAX_RING_SAMPLES = 2 ** 16
+MAX_CHARGE = 2 ** 53  # |n| up to which float64 charge weights are exact integers
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK = 128       # grid rows per block of the ring sum
@@ -47,9 +48,12 @@ def check_ring_size(m):
 
 
 def check_charge_window(n_min, n_max, m):
-    """A charge window [n_min, n_max] must be non-empty and fit in M ring samples."""
+    """A charge window [n_min, n_max] must be non-empty, lie within |n| <= MAX_CHARGE and fit
+    in M ring samples."""
     if n_max < n_min:
         raise RangeError(f"empty charge range [{n_min}, {n_max}]")
+    if max(-n_min, n_max) > MAX_CHARGE:
+        raise RangeError(f"charge range [{n_min}, {n_max}] exceeds |n| <= 2^53")
     if n_max - n_min + 1 > m:
         raise RangeError(f"charge range [{n_min}, {n_max}] exceeds the {m} ring samples")
 
@@ -121,8 +125,9 @@ def _window_rows(fieldgrid, window):
         x_c = x - cx
 
         def rows(i0, i1):
-            r = np.hypot(*np.meshgrid(x_c, y[i0:i1] - cy))
-            return np.where(r <= radius, 0.5 * (1.0 + np.cos(math.pi * np.minimum(r / radius, 1.0))), 0.0)
+            # beyond the radius the weight is 0.5 (1 + cos pi), exactly 0.0
+            r = np.hypot(x_c, (y[i0:i1] - cy)[:, None])
+            return 0.5 * (1.0 + np.cos(math.pi * np.minimum(r / radius, 1.0)))
         return rows
     raise RangeError(f"unknown window {window!r}; use 'none' or 'hann'")
 

@@ -22,15 +22,17 @@ import numpy as np
 
 from .errors import RangeError, UsageError
 from .spectral import MAX_RING_SAMPLES, analytic_ring, field_from_ring
-from .specfun import (
+from .specfun.mathieu import (
+    MAX_Q,
     MathieuClass,
+    check_radial_range,
     mathieu_ce,
     mathieu_ce_radial,
     mathieu_norm_constant,
     mathieu_se,
     mathieu_se_radial,
+    radial_xi_max,
 )
-from .specfun.mathieu import MAX_Q, check_radial_range, radial_xi_max
 
 _BELOW_PI = math.nextafter(math.pi, 0.0)
 _ABOVE_ZERO = math.ulp(0.0)
@@ -132,6 +134,7 @@ class BesselWave(Cone):
         k_t r on the grid.  A wave that even M = MAX_RING_SAMPLES does not
         cover is refused before any table is built.
         """
+        x, y = _axis(x), _axis(y)
         z_max = self.kt * float(np.hypot(np.abs(x).max(), np.abs(y).max()))
         m = 256
         while True:

@@ -21,7 +21,7 @@ from wavemom.spectral import (
     ring_spectrum_from_grid,
     RingSpectrum,
 )
-from wavemom.specfun import mathieu_ce, mathieu_eigen, mathieu_se, radial_xi_max
+from wavemom.specfun.mathieu import mathieu_ce, mathieu_eigen, mathieu_se, radial_xi_max
 from wavemom.waves import BesselWave, MathieuWave, PlaneWave, sample_grid
 
 from _oracles import mathieu_coeffs

@@ -681,6 +681,23 @@ def test_reader_options_checked_whatever_the_methods(small_inputs, capsys, flags
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["spectrum"], ["momenta", "--methods", "spectral"]])
+@pytest.mark.parametrize("window", [(10 ** 23, 10 ** 23), (2 ** 63 - 1, 2 ** 63 - 1),
+                                    (-2 ** 53 - 1, 0), (0, 2 ** 53 + 1)])
+def test_charge_window_within_exact_float_integers(tmp_path, capsys, command, window):
+    # charges are weighted in float64, which holds integers exactly up to 2^53;
+    # the window is refused before the file opens
+    assert run([*command, "--in", tmp_path / "missing.hwmf", "--n-range", "{},{}".format(*window)]) == 2
+    assert capsys.readouterr().err == "error: charge range [{}, {}] exceeds |n| <= 2^53\n".format(*window)
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["momenta", "--methods", "spectral"]])
+def test_charge_window_at_2_to_the_53(small_inputs, capsys, command):
+    edge = 2 ** 53
+    assert run([*command, "--in", small_inputs / "field.hwmf", "--n-range", f"{-edge},{-edge}"]) == 0
+    assert str(-edge) in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", [["spectrum"], ["momenta", "--methods", "grid"]])
 @pytest.mark.parametrize("flags,code,message", [
     # usage errors, then option ranges, then the file
@@ -764,6 +781,14 @@ def test_mathieu_table_at_tiny_q(capsys):
     assert [row[:5] for row in rows] == [["ce-even", "2", "1e-100", "4", "0"],
                                          ["ce-even", "2", "1e-100", "4", "2"]]
     assert [float(row[5]) for row in rows] == pytest.approx([2.5e-101, 1.0], rel=1e-12, abs=0.0)
+
+
+def test_mathieu_table_prints_each_q_as_swept(capsys):
+    # q = 0 and q = -0 share one cached eigenpair, yet each row prints its own q
+    assert run(["mathieu-table", "--parity", "odd", "--n", 3, "--q", 0, "--q-max", "-0",
+                "--q-steps", 3]) == 0
+    qs = [line.split(",")[2] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert qs == ["0"] * (2 * len(qs) // 3) + ["-0"] * (len(qs) // 3)
 
 
 def test_benchmark_tracer_binds_every_traced_name():

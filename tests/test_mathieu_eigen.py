@@ -8,7 +8,7 @@ import pytest
 from scipy import special
 
 from wavemom.errors import RangeError
-from wavemom.specfun import MathieuClass, mathieu_eigen
+from wavemom.specfun.mathieu import MathieuClass, mathieu_eigen
 
 from _oracles import mathieu_char_value
 

@@ -9,7 +9,9 @@ from scipy import special
 
 import wavemom.specfun.mathieu as mathieu_module
 from wavemom.errors import DomainError, RangeError
-from wavemom.specfun import (
+from wavemom.specfun.mathieu import (
+    MathieuClass,
+    MathieuEigen,
     mathieu_angular_derivative,
     mathieu_ce,
     mathieu_ce_radial,
@@ -19,7 +21,6 @@ from wavemom.specfun import (
     mathieu_se_radial,
     radial_xi_max,
 )
-from wavemom.specfun.mathieu import MathieuClass, MathieuEigen
 
 from _oracles import norm_constant_recomposed, rk4_second_order
 

@@ -22,7 +22,7 @@ from wavemom.spectral import (
     ring_azimuths,
     ring_spectrum_from_grid,
 )
-from wavemom.specfun import mathieu_ce, mathieu_eigen
+from wavemom.specfun.mathieu import mathieu_ce, mathieu_eigen
 from wavemom.waves import BesselWave, MathieuWave, PlaneWave, sample_grid
 
 from _oracles import mathieu_coeffs
@@ -253,7 +253,7 @@ def mathieu_grid(parity, n, q=1.0, spw=64.0, xi_span=0.97):
     k, theta = K, math.pi / 6
     f = 2.0 * math.sqrt(q) / (k * math.sin(theta))
     label = MathieuWave(k, theta, n, parity, f)
-    from wavemom.specfun import radial_xi_max
+    from wavemom.specfun.mathieu import radial_xi_max
     half = f * math.sinh(xi_span * radial_xi_max(label.q)) / math.sqrt(2.0)
     lam_t = 2.0 * math.pi / label.kt
     d = lam_t / spw

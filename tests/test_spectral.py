@@ -20,7 +20,7 @@ from wavemom.spectral import (
     ring_azimuths,
     ring_spectrum_from_grid,
 )
-from wavemom.specfun import mathieu_eigen, mathieu_norm_constant
+from wavemom.specfun.mathieu import mathieu_eigen, mathieu_norm_constant
 from wavemom.waves import BesselWave, FieldGrid, GridMeta, MathieuWave, PlaneWave, sample_grid
 
 from _oracles import ring_direct
@@ -179,7 +179,7 @@ def test_pure_charge_concentrates():
 def test_cosine_profile_decomposes_into_coefficient_pairs():
     q = 1.0
     eig = mathieu_eigen("even", 2, q)
-    from wavemom.specfun import mathieu_ce
+    from wavemom.specfun.mathieu import mathieu_ce
     ring = bare_ring(mathieu_ce(2, q, PHI).astype(complex))
     spec = oam_spectrum(ring, -12, 12)
     pref = math.sqrt(math.sin(ring.theta)) / math.sqrt(2.0 * math.pi)
@@ -263,7 +263,7 @@ def test_bessel_profile_round_trip(n):
 
 
 def test_mathieu_profile_values():
-    from wavemom.specfun import mathieu_se
+    from wavemom.specfun.mathieu import mathieu_se
     label = mathieu_label("odd", 2, q=1.0)
     ring = analytic_ring(label, M)
     expected = mathieu_se(2, label.q, PHI) / math.sqrt(math.pi * math.sin(label.theta))
@@ -284,7 +284,7 @@ def test_overlap_identities():
 
 def test_overlap_with_cosine_series():
     q = 1.0
-    from wavemom.specfun import mathieu_ce
+    from wavemom.specfun.mathieu import mathieu_ce
     eig = mathieu_eigen("even", 2, q)
     a = bare_ring(mathieu_ce(2, q, PHI).astype(complex))
     b = bare_ring(np.exp(2j * PHI))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wavemom import spectral, waves
 from wavemom.errors import RangeError
-from wavemom.specfun import (
+from wavemom.specfun.mathieu import (
     mathieu_ce,
     mathieu_ce_radial,
     mathieu_norm_constant,
@@ -406,6 +406,22 @@ def test_each_family_is_a_cone_with_a_ring_profile_and_a_sampler():
         methods = {name for name in dir(cls) if not name.startswith("_")
                    and callable(getattr(cls, name)) and not hasattr(waves.Cone, name)}
         assert methods == {"ring_profile", "sample"}
+
+
+@pytest.mark.parametrize("wave", [PlaneWave(6.28, 0.3, 0.4), BesselWave(6.28, 0.3, 2),
+                                  MathieuWave(6.28, 0.3, 2, "even", 0.5)],
+                         ids=lambda w: w.family)
+def test_sample_takes_any_sequence_as_an_axis(wave):
+    # a single point is a one-sample grid; an axis may be a scalar, a list or a nested list
+    x, y = np.array([0.5, 0.1]), np.array([0.2])
+    grid = wave.sample(x, y, 0.0)
+    assert grid.shape == (1, 2)
+    for ax, ay in ((x.tolist(), y.tolist()), ([x.tolist()], [y.tolist()]), (x[None, :], y[:, None])):
+        assert wave.sample(ax, ay, 0.0).tobytes() == grid.tobytes()
+    point = wave.sample(x[:1], y, 0.0)
+    for ax, ay in ((0.5, 0.2), ([0.5], [0.2]), ([[0.5]], [[0.2]])):
+        assert wave.sample(ax, ay, 0.0).tobytes() == point.tobytes()
+    assert point.shape == (1, 1)
 
 
 def test_field_grid_validation():
