@@ -197,7 +197,7 @@ def _cmd_mathieu_table(args):
         check_q(args.q_max, "--q-max")
         qs = list(np.linspace(args.q, args.q_max, args.q_steps))
     eigens = [mathieu_eigen(args.parity, args.n, q) for q in qs]  # all solved before the file opens
-    fieldio.write_mathieu_table(qs, eigens, args.out)
+    fieldio.write_mathieu_table(eigens, args.out)
     return 0
 
 

@@ -21,6 +21,7 @@ from .waves import FieldGrid, GridMeta
 
 MAGIC = "HWMF1"
 _HEADER_LIMIT = 1 << 16
+_CHUNK = 1 << 16  # bytes per read of a payload's tail
 
 
 def write_field(fieldgrid, path):
@@ -55,7 +56,8 @@ def _header_number(header, key, kind=float, default=None):
 
 
 def _read_payload(fh, out):
-    """Fill the bytes of ``out`` from fh; return (bytes read into it, bytes left after it)."""
+    """Fill the bytes of ``out`` from fh; return (bytes read into it, bytes left after it),
+    the latter counted in _CHUNK reads only until it tops the former (a stream may be endless)."""
     view = memoryview(out).cast("B")
     got = 0
     while got < len(view):
@@ -63,7 +65,10 @@ def _read_payload(fh, out):
         if not n:
             return got, 0
         got += n
-    return got, len(fh.read())
+    rest = 0
+    while rest <= got and (chunk := len(fh.read(_CHUNK))):
+        rest += chunk
+    return got, rest
 
 
 def read_field(path):
@@ -105,10 +110,9 @@ def read_field(path):
             f"expected {nx * ny} samples ({expected} bytes), got {got} bytes"
         )
     if rest:
+        held = (expected + rest) // 16 if rest <= expected else f"more than {2 * nx * ny}"
         raise FormatError(
-            f"{path}: payload holds {(expected + rest) // 16} samples but the header "
-            f"declares nx*ny = {nx * ny}"
-        )
+            f"{path}: payload holds {held} samples but the header declares nx*ny = {nx * ny}")
     floats = values.reshape(-1).view(np.float64)
     if not np.isfinite(floats).all():
         bad = int(np.argmin(np.isfinite(floats))) // 2
@@ -314,11 +318,8 @@ def write_oam_csv(spec, path):
                                        _fmt(c.imag), _fmt([abs(v) ** 2 for v in c]))])
 
 
-def write_mathieu_table(qs, eigens, path):
-    """The eigenpair of each q as CSV rows class,n,q,char_value,j,coeff, one eigenpair per block.
-
-    q is printed as given: the eigenpair cache may hold 0.0 for a -0.0.
-    """
-    blocks = (([",".join([e.mathieu_class.tag, str(e.n), *_fmt([q, e.char_value])])] * len(e.coeffs),
-               map(str, e.harmonics.tolist()), _fmt(e.coeffs)) for q, e in zip(qs, eigens))
+def write_mathieu_table(eigens, path):
+    """Each eigenpair as CSV rows class,n,q,char_value,j,coeff, one eigenpair per block."""
+    blocks = (([",".join([e.mathieu_class.tag, str(e.n), *_fmt([e.q, e.char_value])])] * len(e.coeffs),
+               map(str, e.harmonics.tolist()), _fmt(e.coeffs)) for e in eigens)
     _write_csv(path, "class,n,q,char_value,j,coeff", blocks)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NumericalError, RangeError, UndefinedMeanError, UsageError
 from .spectral import DEFAULT_CHARGE_WINDOW, DEFAULT_RING_SAMPLES, oam_spectrum, ring_spectrum_from_grid
 from .specfun.mathieu import mathieu_eigen
-from .waves import MathieuWave
+from .waves import MathieuWave, check_focal
 
 GRID_OPS = ("lz", "px", "py", "elliptic")
 _SLAB = 32  # quadrature rows per slab of grid_mean
@@ -241,13 +241,13 @@ def report(fieldgrid, methods=("spectral", "grid"), m=DEFAULT_RING_SAMPLES,
     invariant when f is given), "paper" (closed-form elliptic mean charge).
     Given f, parity and n together, one MathieuWave on the grid's cone
     supplies q to the grid notes and the paper route; ``check_request``
-    runs first.  An f given at all must pass the cone's ``check_focal``,
-    whatever the methods.  Results are reported side by side, never averaged.
+    runs first.  Any f given must pass ``waves.check_focal`` on the grid's
+    cone, whatever the methods.  Results are reported side by side, never averaged.
     """
     check_request(methods, f, parity, n)
     meta = fieldgrid.meta
     if f is not None:
-        meta.check_focal(f)
+        check_focal(meta, f)
     wave = None if parity is None else MathieuWave(meta.k, meta.theta, n, parity, f)
     return [ROUTES[method](fieldgrid, m=m, n_min=n_min, n_max=n_max, window=window,
                            f=f, wave=wave) for method in methods]

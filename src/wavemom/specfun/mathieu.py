@@ -201,7 +201,7 @@ def _solve(mcls, n, q, size):
 
 
 @lru_cache(maxsize=512)
-def _eigen_cached(mcls, n, q):
+def _eigen_cached(mcls, n, q, sign):  # sign keeps -0.0 apart from 0.0, which hashes the same
     size = max(32, 2 * n + math.ceil(2.0 * math.sqrt(q)) + 25)
     a, vec, d, e = _solve(mcls, n, q, size)
 
@@ -242,15 +242,15 @@ def mathieu_eigen(parity, n, q):
     """Characteristic value a_n(q)/b_n(q) and expansion coefficients.
 
     The eigenpair is selected by eigenvalue rank within the symmetry class
-    of (parity, n).  Results are cached on (parity, n, q) with the exact
-    float q; the cache is safe for concurrent readers: each key is solved
-    once and every caller gets the same object.
+    of (parity, n).  Results are cached on the exact float q and its sign,
+    so ``q`` reads as asked; the cache is safe for concurrent readers: each
+    key is solved once and every caller gets the same object.
     """
     mcls = MathieuClass.from_order(parity, n)  # validates parity and order
     q = float(q)
     check_q(q)
     with _CACHE_LOCK:
-        return _eigen_cached(mcls, int(n), q)
+        return _eigen_cached(mcls, int(n), q, math.copysign(1.0, q))
 
 
 def _fourier(first, coeffs, u, sine):

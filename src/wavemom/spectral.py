@@ -1,12 +1,13 @@
 """Ring spectra on the transverse-wavevector circle and charge decompositions.
 
 A monochromatic field on one cone is fully described by its angular
-spectrum on the circle k_t = k sin(theta).  This module extracts that ring
-amplitude from sampled grids by direct nonuniform evaluation of the Fourier
-sum (exact with respect to the sampled data, no interpolation), projects
-ring profiles onto integer topological charges, wraps a wave's analytic
-ring profile as a spectrum, and provides the overlap and norm identities
-connecting the two representations.
+spectrum on the circle k_t = k sin(theta); ``Cone`` checks (k, theta) and
+derives k_t and k_z for every object on a cone, spectra and waves alike.
+This module extracts that ring amplitude from sampled grids by direct
+nonuniform evaluation of the Fourier sum (exact with respect to the
+sampled data), projects ring profiles onto integer topological charges,
+wraps a wave's analytic ring profile as a spectrum, and provides the
+overlap and norm identities connecting the two representations.
 
 Conventions: ring samples live at the M azimuths phi_m = -pi + 2 pi m / M
 and carry the sqrt(sin theta) kernel weight of the forward transform; the
@@ -58,16 +59,37 @@ def check_charge_window(n_min, n_max, m):
         raise RangeError(f"charge range [{n_min}, {n_max}] exceeds the {m} ring samples")
 
 
-@dataclass
-class RingSpectrum:
-    """Angular-spectrum amplitude sampled on the ring of one cone."""
+@dataclass(frozen=True)
+class Cone:
+    """A propagation cone; construction checks that 0 < k < inf and 0 < theta < pi."""
 
     k: float
     theta: float
+
+    def __post_init__(self):
+        if not (self.k > 0.0 and math.isfinite(self.k)):
+            raise RangeError(f"wavenumber k must be positive and finite, got {self.k}")
+        if not (0.0 < self.theta < math.pi):
+            raise RangeError(f"cone angle theta must lie in (0, pi), got {self.theta}")
+
+    @property
+    def kt(self):
+        return self.k * math.sin(self.theta)
+
+    @property
+    def kz(self):
+        return self.k * math.cos(self.theta)
+
+
+@dataclass(frozen=True)
+class RingSpectrum(Cone):
+    """Angular-spectrum amplitude sampled on the ring of one cone."""
+
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
+        super().__post_init__()
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
         check_ring_size(len(self.samples))
         if not np.all(np.isfinite(self.samples.view(np.float64))):
             raise RangeError("ring samples must be finite")
@@ -80,18 +102,17 @@ class RingSpectrum:
         return ring_azimuths(self.m)
 
 
-@dataclass
-class OamSpectrum:
+@dataclass(frozen=True)
+class OamSpectrum(Cone):
     """Topological-charge coefficients of a ring profile."""
 
-    k: float
-    theta: float
     n_min: int
     n_max: int
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        super().__post_init__()
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.complex128))
         if len(self.coeffs) != self.n_max - self.n_min + 1:
             raise RangeError("coefficient count does not match the charge range")
 
@@ -219,11 +240,9 @@ def field_from_ring(ring, x, y, z):
     each table entry is computed once and no temporary grows with len(x) * M.
     """
     m = ring.m
-    kt = ring.k * math.sin(ring.theta)
-    kz = ring.k * math.cos(ring.theta)
-    kappa = _kappa(kt, m)
+    kappa = _kappa(ring.kt, m)
     index, sigma = _quarter(m)
-    scale = math.sin(ring.theta) * 2.0 * math.pi / m * np.exp(1j * kz * z)
+    scale = math.sin(ring.theta) * 2.0 * math.pi / m * np.exp(1j * ring.kz * z)
     coef = np.zeros((len(kappa), 2, 2), dtype=np.complex128)
     np.add.at(coef, index, sigma.conj() * (scale * ring.samples)[:, None, None])
     x = np.asarray(x, dtype=float)

@@ -8,7 +8,7 @@ functions), or the order n together with the semi-focal distance f
 transverse wavenumber k_t = k sin(theta) and the axial phase rate
 k cos(theta).
 
-A family is a ``Cone`` plus its labels and two methods:
+A family is a ``spectral.Cone`` plus its labels and two methods:
 ``ring_profile(phi)``, its on-cone angular spectrum at the uniform ring
 azimuths ``phi`` (see ``spectral.ring_azimuths``), and ``sample(x, y, z)``,
 the complex field on the grid of 1-D axes x, y at plane z, of shape
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import RangeError, UsageError
-from .spectral import MAX_RING_SAMPLES, analytic_ring, field_from_ring
+from .spectral import MAX_RING_SAMPLES, Cone, analytic_ring, field_from_ring
 from .specfun.mathieu import (
     MAX_Q,
     MathieuClass,
@@ -41,35 +41,14 @@ _ALIASING = 1e-16  # bound on the ring-sum aliasing of a synthesised Bessel grid
 _ROWS = 32  # grid rows per block of MathieuWave.sample
 
 
-@dataclass(frozen=True)
-class Cone:
-    """A propagation cone; construction checks that 0 < k < inf and 0 < theta < pi."""
-
-    k: float
-    theta: float
-
-    def __post_init__(self):
-        if not (self.k > 0.0 and math.isfinite(self.k)):
-            raise RangeError(f"wavenumber k must be positive and finite, got {self.k}")
-        if not (0.0 < self.theta < math.pi):
-            raise RangeError(f"cone angle theta must lie in (0, pi), got {self.theta}")
-
-    @property
-    def kt(self):
-        return self.k * math.sin(self.theta)
-
-    @property
-    def kz(self):
-        return self.k * math.cos(self.theta)
-
-    def check_focal(self, f):
-        """Refuse a semi-focal distance that is not finite and positive or puts q over MAX_Q."""
-        if not (f > 0.0 and math.isfinite(f)):
-            raise RangeError(f"semi-focal distance f must be positive, got {f}")
-        root_q = f * self.kt / 2.0  # compared before squaring, which could overflow
-        if root_q > math.sqrt(MAX_Q):
-            raise RangeError(
-                f"q = (f k_t / 2)^2 exceeds the supported maximum {MAX_Q:g} (f k_t / 2 = {root_q:g})")
+def check_focal(cone, f):
+    """RangeError unless 0 < f < inf and q = (f k_t / 2)^2 on ``cone`` stays within MAX_Q."""
+    if not (f > 0.0 and math.isfinite(f)):
+        raise RangeError(f"semi-focal distance f must be positive, got {f}")
+    root_q = f * cone.kt / 2.0  # compared before squaring, which could overflow
+    if root_q > math.sqrt(MAX_Q):
+        raise RangeError(
+            f"q = (f k_t / 2)^2 exceeds the supported maximum {MAX_Q:g} (f k_t / 2 = {root_q:g})")
 
 
 @dataclass(frozen=True)
@@ -159,7 +138,7 @@ class MathieuWave(Cone):
     def __post_init__(self):
         super().__post_init__()
         MathieuClass.from_order(self.parity, self.n)  # validates parity and order
-        self.check_focal(self.f)
+        check_focal(self, self.f)
 
     @property
     def family(self):

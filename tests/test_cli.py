@@ -784,7 +784,7 @@ def test_mathieu_table_at_tiny_q(capsys):
 
 
 def test_mathieu_table_prints_each_q_as_swept(capsys):
-    # q = 0 and q = -0 share one cached eigenpair, yet each row prints its own q
+    # q = 0 and q = -0 are cached apart, so each row prints the q it was solved for
     assert run(["mathieu-table", "--parity", "odd", "--n", 3, "--q", 0, "--q-max", "-0",
                 "--q-steps", 3]) == 0
     qs = [line.split(",")[2] for line in capsys.readouterr().out.splitlines()[1:]]

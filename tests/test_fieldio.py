@@ -113,7 +113,8 @@ def _fifo(tmp_path, raw):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need a POSIX system")
-@pytest.mark.parametrize("tail", [0, -40, 16], ids=["whole", "truncated", "extra-sample"])
+@pytest.mark.parametrize("tail", [0, -40, 16, 4 * 16 * 24 * 18],
+                         ids=["whole", "truncated", "extra-sample", "four-payloads"])
 def test_read_field_through_a_pipe(tmp_path, tail):
     # a pipe has no size to look up, so the payload checks must come from the bytes read
     g = random_grid()
@@ -133,6 +134,26 @@ def test_read_field_through_a_pipe(tmp_path, tail):
         assert str(from_pipe.value) == str(from_file.value).replace(str(path), str(fifo))
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_long_tail_is_counted_in_chunks(tmp_path):
+    # 64 MB after a 16^2 payload: the reader stops counting once the tail outgrows
+    # the payload, so it neither holds the tail (was a 128 MB peak) nor reads all of it
+    g = random_grid(nx=16, ny=16)
+    path = tmp_path / "field.hwmf"
+    write_field(g, path)
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size + 64 * 2 ** 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as exc:
+            read_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == \
+        f"{path}: payload holds more than 512 samples but the header declares nx*ny = 256"
+    assert peak <= 2 ** 20
 
 
 def test_hwmf_io_working_memory(tmp_path):
@@ -183,6 +204,19 @@ def test_bad_header_values_rejected(tmp_path, key, value, message):
     _set_header(path, key, value)
     with pytest.raises(FormatError, match=message):
         read_field(path)
+
+
+@pytest.mark.parametrize("line,reason", [
+    (b"not json\n", "Expecting value: line 1 column 1 (char 0)"),
+    (b'{"magic": "HWMF1\xff"}\n', "'utf-8' codec can't decode byte 0xff in position 16: "
+                                  "invalid start byte"),
+], ids=["not-json", "not-utf8"])
+def test_unparseable_header_rejected(tmp_path, line, reason):
+    path = tmp_path / "field.hwmf"
+    path.write_bytes(line + bytes(16 * 256))
+    with pytest.raises(FormatError) as exc:
+        read_field(path)
+    assert str(exc.value) == f"{path}: unparseable header: {reason}"
 
 
 def test_missing_header_newline(tmp_path):
@@ -315,6 +349,30 @@ def test_csv_reader_matches_row_loop(tmp_path):
     values, dx, dy, x0, y0 = _reference_read(path)
     assert back.values.tobytes() == values.tobytes()
     assert (back.dx, back.dy, back.x0, back.y0) == (dx, dy, x0, y0)
+
+
+def test_csv_row_loop_reads_what_float_reads(tmp_path):
+    # numpy refuses the token 1_0 and float() reads 10, so this lattice is read row by row
+    _, path, lines = _csv_lines(tmp_path)
+    x, y, re, im = lines[5].split(",")
+    lines[5] = f"{x},{y},1_0,{im}"
+    path.write_text("\n".join(lines) + "\n")
+    back = read_field_csv(path, 2.0, 0.7)
+    values, dx, dy, x0, y0 = _reference_read(path)
+    assert back.values.tobytes() == values.tobytes()
+    assert (back.dx, back.dy, back.x0, back.y0) == (dx, dy, x0, y0)
+    assert back.values[0, 4] == complex(10.0, float(im))
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["0,0,1,0", "0,1,1,0"], "x axis has fewer than two distinct values"),
+    ([f"{x},{y},1,0" for y in (0, 1) for x in (0, 1, 3)], "x coordinates are not uniformly spaced"),
+    ([], "no data rows"),
+], ids=["one-x", "uneven-x", "header-only"])
+def test_csv_lattice_refusals(tmp_path, rows, message):
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(["x,y,re,im", *rows]) + "\n")
+    assert _read_error(path) == f"{path}: {message}"
 
 
 def test_csv_header_only_on_line_one(tmp_path):

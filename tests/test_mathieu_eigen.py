@@ -8,7 +8,7 @@ import pytest
 from scipy import special
 
 from wavemom.errors import RangeError
-from wavemom.specfun.mathieu import MathieuClass, mathieu_eigen
+from wavemom.specfun.mathieu import MathieuClass, _eigen_cached, mathieu_eigen
 
 from _oracles import mathieu_char_value
 
@@ -187,6 +187,14 @@ def test_cache_rounding_and_concurrency():
         results = list(pool.map(lambda _: mathieu_eigen("odd", 3, 2.5), range(64)))
     assert all(r is results[0] for r in results)
     assert not results[0].coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0], ids=["plus-first", "minus-first"])
+def test_eigenpair_q_keeps_the_sign_asked_for(first):
+    # 0.0 == -0.0 with one hash, so the cache key carries the sign as well
+    _eigen_cached.cache_clear()
+    for q in (first, -first):
+        assert math.copysign(1.0, mathieu_eigen("odd", 1, q).q) == math.copysign(1.0, q)
 
 
 def test_concurrent_misses_share_one_solve():

@@ -58,6 +58,12 @@ def test_mean_charge_scaling_invariance():
     assert mean_charge(scaled) == pytest.approx(mean_charge(spec), abs=1e-14)
 
 
+def test_transverse_means_of_a_zero_ring_are_undefined():
+    with pytest.raises(UndefinedMeanError) as exc:
+        ring_transverse_means(RingSpectrum(K, 0.5, np.zeros(256)))
+    assert str(exc.value) == "ring profile has zero norm; means are undefined"
+
+
 def test_real_ring_profile_has_zero_mean_charge():
     phi = ring_azimuths(1024)
     for samples in (np.cos(3 * phi) + 0.2, mathieu_ce(2, 1.0, phi),

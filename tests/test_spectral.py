@@ -10,6 +10,8 @@ from scipy import special
 
 from wavemom.errors import RangeError
 from wavemom.spectral import (
+    Cone,
+    OamSpectrum,
     RingSpectrum,
     analytic_ring,
     bessel_coeffs_of_mathieu,
@@ -192,6 +194,42 @@ def test_cosine_profile_decomposes_into_coefficient_pairs():
         assert spec.coeff(-j) == pytest.approx(spec.coeff(j), rel=1e-12, abs=1e-12)
     # odd charges carry nothing
     assert abs(spec.coeff(1)) < 1e-13 and abs(spec.coeff(-3)) < 1e-13
+
+
+def test_spectra_are_frozen_cones():
+    assert RingSpectrum.__bases__ == OamSpectrum.__bases__ == (Cone,)
+    ring = bare_ring(np.ones(256))
+    assert (ring.kt, ring.kz) == (K * math.sin(0.3), K * math.cos(0.3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ring.samples = np.zeros(256)
+
+
+@pytest.mark.parametrize("k,theta,message", [
+    (0.0, 0.3, "wavenumber k must be positive and finite, got 0.0"),
+    (math.nan, 0.3, "wavenumber k must be positive and finite, got nan"),
+    (math.inf, 0.3, "wavenumber k must be positive and finite, got inf"),
+    (2.0, 4.0, "cone angle theta must lie in (0, pi), got 4.0"),
+    (2.0, 0.0, "cone angle theta must lie in (0, pi), got 0.0"),
+    (2.0, math.nan, "cone angle theta must lie in (0, pi), got nan"),
+])
+def test_off_cone_spectra_are_refused(k, theta, message):
+    for build in (lambda: RingSpectrum(k, theta, np.ones(256)),
+                  lambda: OamSpectrum(k, theta, -1, 1, np.ones(3))):
+        with pytest.raises(RangeError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: bare_ring(np.full(256, complex(1.0, math.nan))), "ring samples must be finite"),
+    (lambda: bare_ring(np.full(256, math.inf)), "ring samples must be finite"),
+    (lambda: OamSpectrum(K, 0.3, -1, 1, np.ones(2)),
+     "coefficient count does not match the charge range"),
+], ids=["nan", "inf", "count"])
+def test_spectrum_contents_are_checked(build, message):
+    with pytest.raises(RangeError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_zero_ring_zero_norm():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wavemom import spectral, waves
 from wavemom.errors import RangeError
+from wavemom.momenta import report
 from wavemom.specfun.mathieu import (
     mathieu_ce,
     mathieu_ce_radial,
@@ -406,6 +407,30 @@ def test_each_family_is_a_cone_with_a_ring_profile_and_a_sampler():
         methods = {name for name in dir(cls) if not name.startswith("_")
                    and callable(getattr(cls, name)) and not hasattr(waves.Cone, name)}
         assert methods == {"ring_profile", "sample"}
+
+
+def test_cone_is_spectral_and_the_focal_rule_is_a_function():
+    assert waves.Cone is spectral.Cone and spectral.Cone.__module__ == "wavemom.spectral"
+    classes = [v for mod in (waves, spectral) for v in vars(mod).values() if isinstance(v, type)]
+    assert spectral.Cone in classes and waves.MathieuWave in classes
+    assert [cls for cls in classes if hasattr(cls, "check_focal")] == []
+
+
+@pytest.mark.parametrize("f,message", [
+    (0.0, "semi-focal distance f must be positive, got 0.0"),
+    (math.nan, "semi-focal distance f must be positive, got nan"),
+    (math.inf, "semi-focal distance f must be positive, got inf"),
+    (1e300, "q = (f k_t / 2)^2 exceeds the supported maximum 1e+06 (f k_t / 2 = 1.5708e+300)"),
+], ids=["zero", "nan", "inf", "q-over-max"])
+def test_check_focal_refuses_for_the_wave_and_the_report(f, message):
+    cone = spectral.Cone(2.0 * math.pi, math.pi / 6)
+    grid = sample_grid(PlaneWave(cone.k, cone.theta, 0.0), 16, 16, 0.05, 0.05)
+    for refuse in (lambda: waves.check_focal(cone, f),
+                   lambda: MathieuWave(cone.k, cone.theta, 2, "even", f),
+                   lambda: report(grid, methods=("spectral",), f=f)):
+        with pytest.raises(RangeError) as exc:
+            refuse()
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("wave", [PlaneWave(6.28, 0.3, 0.4), BesselWave(6.28, 0.3, 2),
