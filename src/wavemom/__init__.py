@@ -23,6 +23,7 @@ from .momenta import (
     report,
 )
 from .spectral import (
+    Cone,
     OamSpectrum,
     RingSpectrum,
     analytic_ring,
@@ -44,7 +45,6 @@ from .specfun.mathieu import (
 from .waves import (
     BesselWave,
     FieldGrid,
-    GridMeta,
     MathieuWave,
     PlaneWave,
     elliptic_coords,

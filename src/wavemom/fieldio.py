@@ -17,7 +17,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import FormatError, RangeError
-from .waves import FieldGrid, GridMeta
+from .spectral import Cone
+from .waves import FieldGrid
 
 MAGIC = "HWMF1"
 _HEADER_LIMIT = 1 << 16
@@ -36,8 +37,8 @@ def write_field(fieldgrid, path):
         "y0": fieldgrid.y0,
         "k": fieldgrid.meta.k,
         "theta": fieldgrid.meta.theta,
-        "z_plane": fieldgrid.meta.z_plane,
-        "description": fieldgrid.meta.description,
+        "z_plane": fieldgrid.z_plane,
+        "description": fieldgrid.description,
     }
     payload = np.ascontiguousarray(fieldgrid.values, dtype="<c16")
     with open(path, "wb") as fh:
@@ -93,10 +94,10 @@ def read_field(path):
             nx, ny = _header_number(header, "nx", int), _header_number(header, "ny", int)
             dx, dy = _header_number(header, "dx"), _header_number(header, "dy")
             x0, y0 = _header_number(header, "x0"), _header_number(header, "y0")
-            meta = GridMeta(_header_number(header, "k"), _header_number(header, "theta"),
-                            _header_number(header, "z_plane", default=0.0),
-                            str(header.get("description", "")))
-            FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, meta)  # before nx * ny sizes the payload
+            cone = Cone(_header_number(header, "k"), _header_number(header, "theta"))
+            z_plane = _header_number(header, "z_plane", default=0.0)
+            description = str(header.get("description", ""))
+            FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, cone, z_plane)  # before nx * ny sizes the payload
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # RangeError is a ValueError
             raise FormatError(f"{path}: incomplete or invalid header: {exc}") from exc
         values = np.empty((ny, nx), dtype="<c16")
@@ -120,7 +121,7 @@ def read_field(path):
             f"{path}: non-finite sample at index {bad} "
             f"(byte offset {payload_start + 16 * bad})"
         )
-    return FieldGrid(nx, ny, dx, dy, x0, y0, values, meta)
+    return FieldGrid(nx, ny, dx, dy, x0, y0, values, cone, z_plane, description)
 
 
 def _fmt(values):
@@ -247,7 +248,7 @@ def read_field_csv(path, k, theta):
     wave metadata, so the caller states the cone, which is checked (a
     RangeError) before the file is read.
     """
-    meta = GridMeta(k, theta)
+    cone = Cone(k, theta)
     data = _load_rows(path)
     x, y = data[:, 0], data[:, 1]
     xs, dx = _lattice_axis(x, path, "x")
@@ -300,7 +301,7 @@ def read_field_csv(path, k, theta):
     values = np.empty((ny, nx), dtype=np.complex128)
     values.reshape(-1)[flat] = data.view(np.complex128)[:, 1]
     try:  # the values are checked above, so only the inferred geometry can fail here
-        return FieldGrid(nx, ny, dx, dy, float(xs[0]), float(ys[0]), values, meta)
+        return FieldGrid(nx, ny, dx, dy, float(xs[0]), float(ys[0]), values, cone)
     except RangeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -95,9 +95,7 @@ def grid_mean(fieldgrid, op, f=None):
     if op not in GRID_OPS:
         raise RangeError(f"unknown grid operator {op!r}; choose from {GRID_OPS}")
     border = 2 if op == "elliptic" else 1
-    nx, ny = fieldgrid.nx, fieldgrid.ny
-    if nx - 2 * border < 8 or ny - 2 * border < 8:
-        raise RangeError("grid interior must keep at least 8 cells per direction")
+    ny = fieldgrid.ny
     if op == "elliptic" and (f is None or not f > 0.0):
         raise RangeError("the elliptic operator needs a positive semi-focal distance f")
     x = fieldgrid.x()

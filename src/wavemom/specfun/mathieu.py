@@ -103,14 +103,6 @@ class MathieuEigen:
     def harmonics(self):
         return self.mathieu_class.harmonics(len(self.coeffs))
 
-    def coeff_for_harmonic(self, j):
-        """Coefficient multiplying cos(j u) or sin(j u); 0 if absent."""
-        first = self.mathieu_class.first_harmonic
-        if j < first or (j - first) % 2:
-            return 0.0
-        idx = (j - first) // 2
-        return float(self.coeffs[idx]) if idx < len(self.coeffs) else 0.0
-
 
 def _tridiagonal(mcls, q, size):
     """Diagonal and off-diagonal of the symmetric recurrence matrix."""

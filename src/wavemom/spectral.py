@@ -83,13 +83,14 @@ class Cone:
 
 @dataclass(frozen=True)
 class RingSpectrum(Cone):
-    """Angular-spectrum amplitude sampled on the ring of one cone."""
+    """Angular-spectrum amplitude sampled on the ring of one cone; compared by identity."""
 
     samples: np.ndarray = field(repr=False)
+    __eq__, __hash__ = object.__eq__, object.__hash__  # Cone's would compare (k, theta) alone
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
+        object.__setattr__(self, "samples", np.ascontiguousarray(self.samples, dtype=np.complex128))
         check_ring_size(len(self.samples))
         if not np.all(np.isfinite(self.samples.view(np.float64))):
             raise RangeError("ring samples must be finite")
@@ -104,11 +105,12 @@ class RingSpectrum(Cone):
 
 @dataclass(frozen=True)
 class OamSpectrum(Cone):
-    """Topological-charge coefficients of a ring profile."""
+    """Topological-charge coefficients of a ring profile; compared by identity."""
 
     n_min: int
     n_max: int
     coeffs: np.ndarray = field(repr=False)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
         super().__post_init__()
@@ -224,7 +226,7 @@ def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
     index, sigma = _quarter(m)
     sums = np.einsum("mab,mab->m", (acc[0] + 1j * acc[1])[index], sigma)
     weight = math.sqrt(math.sin(meta.theta)) * fieldgrid.dx * fieldgrid.dy
-    carrier = np.exp(-1j * meta.kz * meta.z_plane)
+    carrier = np.exp(-1j * meta.kz * fieldgrid.z_plane)
     return RingSpectrum(meta.k, meta.theta, weight * carrier * sums)
 
 

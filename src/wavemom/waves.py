@@ -225,25 +225,15 @@ def make_wave(family, k, theta, **labels):
     return cls(k, theta, **values, **fixed)
 
 
-@dataclass(frozen=True)
-class GridMeta(Cone):
-    """The cone of a sampled field, its slice plane z and a free-text description."""
-
-    z_plane: float = 0.0
-    description: str = ""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not math.isfinite(self.z_plane):
-            raise RangeError(f"slice plane z must be finite, got {self.z_plane}")
-
-
-@dataclass
+@dataclass(eq=False)
 class FieldGrid:
-    """Complex scalar field sampled on a uniform transverse grid.
+    """Complex scalar field sampled on a uniform transverse grid of the plane z_plane.
 
     ``values`` has shape (ny, nx), row-major with the y index outermost;
-    sample (i, j) sits at (x0 + j*dx, y0 + i*dy).
+    sample (i, j) sits at (x0 + j*dx, y0 + i*dy).  ``meta`` is the field's
+    cone.  A grid compares by identity.  Its geometry, cone and plane are
+    checked once, when it is built, so only ``values`` may be reassigned,
+    with a finite complex array of the same shape.
     """
 
     nx: int
@@ -253,15 +243,20 @@ class FieldGrid:
     x0: float
     y0: float
     values: np.ndarray = field(repr=False)
-    meta: GridMeta
+    meta: Cone
+    z_plane: float = 0.0
+    description: str = ""
 
     @staticmethod
-    def check_geometry(nx, ny, dx, dy, x0, y0, meta):
+    def check_geometry(nx, ny, dx, dy, x0, y0, meta, z_plane):
         """Return the origin (x0, y0), centring on 0 an axis whose origin is None.
 
-        Raise RangeError unless the grid holds 16x16 to MAX_SAMPLES samples (checked
-        before any float is made of nx and ny), its spacings are finite and positive,
-        and its largest phase on meta's cone, k_t (max|x| + max|y|) + |k_z z|, is finite."""
+        Raise RangeError unless z_plane is finite, the grid holds 16x16 to MAX_SAMPLES
+        samples (checked before any float is made of nx and ny), its spacings are finite
+        and positive, and its largest phase on meta's cone,
+        k_t (max|x| + max|y|) + |k_z z_plane|, is finite."""
+        if not math.isfinite(z_plane):
+            raise RangeError(f"slice plane z must be finite, got {z_plane}")
         if nx < 16 or ny < 16:
             raise RangeError(f"grid must be at least 16x16, got {nx}x{ny}")
         if nx * ny > MAX_SAMPLES:
@@ -275,13 +270,14 @@ class FieldGrid:
         if not all(map(math.isfinite, (dx, dy, x0, y0))):
             raise RangeError("grid origin and spacings must be finite")
         reach = max(abs(x0), abs(x0 + (nx - 1) * dx)) + max(abs(y0), abs(y0 + (ny - 1) * dy))
-        if not math.isfinite(meta.kt * reach + abs(meta.kz * meta.z_plane)):
+        if not math.isfinite(meta.kt * reach + abs(meta.kz * z_plane)):
             raise RangeError("largest phase k_t (max|x| + max|y|) + |k_z z_plane| is not finite")
         return x0, y0
 
     def __post_init__(self):
-        self.check_geometry(self.nx, self.ny, self.dx, self.dy, self.x0, self.y0, self.meta)
-        vals = np.asarray(self.values, dtype=np.complex128)
+        self.check_geometry(self.nx, self.ny, self.dx, self.dy, self.x0, self.y0, self.meta,
+                            self.z_plane)
+        vals = np.ascontiguousarray(self.values, dtype=np.complex128)
         if vals.shape != (self.ny, self.nx):
             raise RangeError(
                 f"values shape {vals.shape} does not match (ny, nx) = "
@@ -340,9 +336,9 @@ def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None
     nx, ny = int(nx), int(ny)
     if description is None:
         description = f"{label.family} wave sample"
-    meta = GridMeta(label.k, label.theta, float(z), description)
-    x0, y0 = FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, meta)  # before any sample is computed
+    cone, z = Cone(label.k, label.theta), float(z)
+    x0, y0 = FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, cone, z)  # before any sample is computed
     x = x0 + dx * np.arange(nx)
     y = y0 + dy * np.arange(ny)
     vals = label.sample(x, y, z)
-    return FieldGrid(nx, ny, float(dx), float(dy), float(x0), float(y0), vals, meta)
+    return FieldGrid(nx, ny, float(dx), float(dy), float(x0), float(y0), vals, cone, z, description)

@@ -81,7 +81,7 @@ def ring_direct(fieldgrid, m, window):
     by = np.exp(-1j * np.outer(y, ky))
     sums = np.einsum("jm,jm->m", by, vals @ ax)
     weight = math.sqrt(math.sin(meta.theta)) * fieldgrid.dx * fieldgrid.dy
-    return weight * np.exp(-1j * meta.kz * meta.z_plane) * sums
+    return weight * np.exp(-1j * meta.kz * fieldgrid.z_plane) * sums
 
 
 # ------------------------------------------------- Mathieu eigenproblem

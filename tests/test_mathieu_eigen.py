@@ -38,7 +38,7 @@ def test_q_zero_limits():
             eig = mathieu_eigen(parity, n, 0.0)
             assert eig.char_value == pytest.approx(n * n, abs=1e-10)
             expected = 1.0 / math.sqrt(2.0) if (parity, n) == ("even", 0) else 1.0
-            assert eig.coeff_for_harmonic(n) == pytest.approx(expected, abs=1e-12)
+            assert eig.coeffs[-1] == pytest.approx(expected, abs=1e-12)
             assert len(eig.coeffs) == (n - eig.mathieu_class.first_harmonic) // 2 + 1
 
 
@@ -52,7 +52,8 @@ def test_tiny_q_is_inside_the_domain(parity, n, q):
     assert np.all(np.isfinite(eig.coeffs))
     assert eig.char_value == pytest.approx(n * n, abs=1e-15)
     expected = 1.0 / math.sqrt(2.0) if (parity, n) == ("even", 0) else 1.0
-    assert eig.coeff_for_harmonic(n) == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert eig.coeffs[(n - eig.mathieu_class.first_harmonic) // 2] == pytest.approx(
+        expected, rel=1e-15, abs=0.0)
 
 
 def test_double_truncation_oracle_a0():
@@ -162,7 +163,6 @@ def test_harmonic_parity_structure():
     assert np.all(eig.harmonics % 2 == 0)
     eig = mathieu_eigen("odd", 3, 2.0)
     assert np.all(eig.harmonics % 2 == 1)
-    assert eig.coeff_for_harmonic(2) == 0.0  # wrong-parity harmonic is absent
 
 
 def test_class_validation():

@@ -241,7 +241,9 @@ def whole_grid_mean(g, op, f):
 @pytest.mark.parametrize("op", ["lz", "px", "py", "elliptic"])
 def test_grid_mean_slab_edges(op):
     # heights that end a slab exactly, one row short of or past a slab with
-    # its halo, and several slabs with a remainder; one grid is square
+    # its halo, and several slabs with a remainder; one grid is square, at
+    # FieldGrid's 16x16 minimum, which leaves every operator at least 12
+    # interior cells per direction, so grid_mean needs no size guard of its own
     halo = 2 if op == "elliptic" else 1
     slab = momenta._SLAB
     for nx, ny in ((16, 16), (21, slab + 2 * halo - 1), (21, slab + 2 * halo + 1),

@@ -23,7 +23,7 @@ from wavemom.spectral import (
     ring_spectrum_from_grid,
 )
 from wavemom.specfun.mathieu import mathieu_eigen, mathieu_norm_constant
-from wavemom.waves import BesselWave, FieldGrid, GridMeta, MathieuWave, PlaneWave, sample_grid
+from wavemom.waves import BesselWave, FieldGrid, MathieuWave, PlaneWave, sample_grid
 
 from _oracles import ring_direct
 
@@ -79,11 +79,11 @@ def test_ring_matches_direct_exponential_sum(m, window):
     # direct formula's own phase rounding approaches 1e-13 of the largest sample
     rng = np.random.default_rng(m + len(window))
     for nx, ny in ((16, 16), (17, 40), (48, 33), (45, 22)):
-        meta = GridMeta(K, rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0))
+        meta, z_plane = Cone(K, rng.uniform(0.1, 3.0)), rng.uniform(-2.0, 2.0)
         dx, dy = rng.uniform(0.2, 0.7, size=2) * math.pi / meta.kt
         x0, y0 = rng.uniform(-1.0, 0.2, size=2) * (nx * dx, ny * dy)
         values = rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx))
-        g = FieldGrid(nx, ny, dx, dy, x0, y0, values, meta)
+        g = FieldGrid(nx, ny, dx, dy, x0, y0, values, meta, z_plane)
         direct = ring_direct(g, m, window)
         ring = ring_spectrum_from_grid(g, m, window)
         assert np.abs(ring.samples - direct).max() <= 1e-13 * np.abs(direct).max()
@@ -114,13 +114,14 @@ def test_nyquist_violation():
 
 
 def test_ring_requires_metadata_and_valid_m():
-    from wavemom.waves import GridMeta
     w = PlaneWave(K, 0.4, 0.0)
     g = sample_grid(w, 32, 32, 0.05, 0.05)
     with pytest.raises(RangeError):
         ring_spectrum_from_grid(g, 100)  # not a power of two
     with pytest.raises(TypeError):  # every field carries a cone
-        GridMeta(k=None, theta=None)
+        Cone(k=None, theta=None)
+    with pytest.raises(TypeError):
+        FieldGrid(16, 16, 0.1, 0.1, 0.0, 0.0, np.zeros((16, 16)), Cone(None, None))
 
 
 def test_window_flag_changes_samples_default_off():
@@ -202,6 +203,31 @@ def test_spectra_are_frozen_cones():
     assert (ring.kt, ring.kz) == (K * math.sin(0.3), K * math.cos(0.3))
     with pytest.raises(dataclasses.FrozenInstanceError):
         ring.samples = np.zeros(256)
+
+
+def test_spectra_and_grids_compare_by_identity():
+    # a generated == would compare their arrays (an ambiguous truth value), and
+    # Cone's would compare (k, theta) alone, so two different samplings would be equal
+    grid = sample_grid(BesselWave(K, 0.3, 2), 16, 16, 0.2, 0.2)
+    for a, b in ((bare_ring(np.ones(256)), bare_ring(np.zeros(256))),
+                 (OamSpectrum(K, 0.3, 0, 1, [1, 2]), OamSpectrum(K, 0.3, 0, 1, [1, 3])),
+                 (grid, dataclasses.replace(grid))):
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and {a, b} == {b, a}
+
+
+def test_any_array_layout_is_accepted():
+    # strided and Fortran-order arrays are copied to C order; numpy refused them
+    # in the finiteness check's float view before
+    rng = np.random.default_rng(3)
+    wide = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))
+    for values in (wide[:, ::2], np.asfortranarray(wide[:, :16])):
+        grid = FieldGrid(16, 16, 0.1, 0.1, 0.0, 0.0, values, Cone(K, 0.3))
+        assert grid.values.tobytes() == np.ascontiguousarray(values).tobytes()
+    samples = wide.reshape(-1)[::2]
+    ring = bare_ring(samples)
+    assert ring.samples.flags.c_contiguous
+    assert ring.samples.tobytes() == np.ascontiguousarray(samples).tobytes()
 
 
 @pytest.mark.parametrize("k,theta,message", [
@@ -326,7 +352,7 @@ def test_overlap_with_cosine_series():
     eig = mathieu_eigen("even", 2, q)
     a = bare_ring(mathieu_ce(2, q, PHI).astype(complex))
     b = bare_ring(np.exp(2j * PHI))
-    a2 = eig.coeff_for_harmonic(2)
+    a2 = eig.coeffs[1]  # harmonics 0, 2, ...
     assert plancherel_overlap(a, b) == pytest.approx(math.pi * a2, rel=1e-10)
 
 

@@ -18,7 +18,6 @@ from wavemom.specfun.mathieu import (
 from wavemom.waves import (
     BesselWave,
     FieldGrid,
-    GridMeta,
     MathieuWave,
     PlaneWave,
     elliptic_coords,
@@ -236,7 +235,8 @@ def test_sample_grid_metadata_and_determinism():
     w = BesselWave(2.0, 0.5, 2)
     g1 = sample_grid(w, 32, 24, 0.1, 0.12, z=0.3)
     g2 = sample_grid(w, 32, 24, 0.1, 0.12, z=0.3)
-    assert g1.meta.k == w.k and g1.meta.theta == w.theta and g1.meta.z_plane == 0.3
+    assert type(g1.meta) is spectral.Cone and g1.meta == spectral.Cone(w.k, w.theta)
+    assert g1.z_plane == 0.3
     assert np.array_equal(g1.values, g2.values)
     assert g1.values.shape == (24, 32)
     # centred by default
@@ -450,7 +450,7 @@ def test_sample_takes_any_sequence_as_an_axis(wave):
 
 
 def test_field_grid_validation():
-    meta = GridMeta(1.0, 0.5)
+    meta = spectral.Cone(1.0, 0.5)
     with pytest.raises(RangeError):
         FieldGrid(8, 8, 0.1, 0.1, 0.0, 0.0, np.zeros((8, 8), complex), meta)
     with pytest.raises(RangeError):
@@ -459,6 +459,12 @@ def test_field_grid_validation():
     bad[3, 3] = np.nan
     with pytest.raises(RangeError):
         FieldGrid(16, 16, 0.1, 0.1, 0.0, 0.0, bad, meta)
+    # the slice plane sits on the grid beside its origin, and is checked with it
+    for z in (math.nan, math.inf, -math.inf):
+        with pytest.raises(RangeError, match=f"^slice plane z must be finite, got {z}$"):
+            FieldGrid(16, 16, 0.1, 0.1, 0.0, 0.0, np.zeros((16, 16)), meta, z)
+    with pytest.raises(RangeError, match="^slice plane z must be finite, got nan$"):
+        sample_grid(BesselWave(1.0, 0.5, 2), 16, 16, 0.1, 0.1, z=math.nan)
 
 
 # ----------------------------------------------- pointwise eigenchecks
