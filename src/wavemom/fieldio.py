@@ -301,7 +301,7 @@ def read_field_csv(path, k, theta):
     values = np.empty((ny, nx), dtype=np.complex128)
     values.reshape(-1)[flat] = data.view(np.complex128)[:, 1]
     try:  # the values are checked above, so only the inferred geometry can fail here
-        return FieldGrid(nx, ny, dx, dy, float(xs[0]), float(ys[0]), values, cone)
+        return FieldGrid(nx, ny, dx, dy, xs[0], ys[0], values, cone)
     except RangeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

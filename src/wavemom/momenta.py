@@ -69,27 +69,29 @@ def oam_mathieu_paper(parity, n, q):
     return float((weights * power).sum() / power.sum())
 
 
-def _lz(values, x, y, dx, dy):
-    """-i (x d/dy - y d/dx) and d/dx by centred differences; the border samples are not centred."""
-    d_dy, d_dx = np.gradient(values, dy, dx)
-    # in place on the y-gradient: d_dx is returned as it is, for the px^2 stencil
-    np.multiply(x, d_dy, out=d_dy)
-    np.subtract(d_dy, np.multiply(y[:, None], d_dx), out=d_dy)
-    return np.multiply(-1j, d_dy, out=d_dy), d_dx
+def _diff(v, axis, h):
+    """Centred difference (v[i+1] - v[i-1]) / 2h along axis, on the samples that have both neighbours."""
+    lead = (slice(None),) * axis
+    return (v[lead + (slice(2, None),)] - v[lead + (slice(None, -2),)]) / (2.0 * h)
+
+
+def _lz(v, x, y, dx, dy):
+    """-i (x d/dy - y d/dx) on the samples of v that have all four neighbours; x, y are v's axes."""
+    return -1j * (x[1:-1] * _diff(v[:, 1:-1], 0, dy) - y[1:-1, None] * _diff(v[1:-1], 1, dx))
 
 
 def grid_mean(fieldgrid, op, f=None):
     """Rayleigh quotient of a momentum operator on a sampled field.
 
-    Derivatives are numpy's centred second-order differences
-    (``np.gradient``), exact only one sample in from the border; the
-    composed operator lz^2 + f^2 px^2 applies the first-order stencils
-    twice, so its quadrature region loses two border cells instead of one.
-    Both sums of the quotient are accumulated over slabs of _SLAB rows,
-    each read with a halo of as many rows as the border, so the stencils
-    see the same neighbours as on the whole grid and the working set is a
-    few slabs.  The imaginary part of the quotient must stay below 1e-6
-    relative, else a NumericalError is raised; the real part is returned
+    Derivatives are centred second-order differences (``_diff``), taken
+    only where both neighbours are sampled; the composed operator
+    lz^2 + f^2 px^2 applies the first-order stencils twice, so its
+    quadrature region loses two border cells instead of one.  Both sums
+    of the quotient are numpy sums (no BLAS, so no dependence on its
+    thread count) over slabs of _SLAB rows, each read with a halo of as
+    many rows as the border, so the working set is a few slabs.  A zero
+    norm on the region raises UndefinedMeanError, and an imaginary part
+    above 1e-6 relative a NumericalError; the real part is returned
     (raw operator units: lz dimensionless, px/py in rad/length).
     """
     if op not in GRID_OPS:
@@ -101,28 +103,25 @@ def grid_mean(fieldgrid, op, f=None):
     x = fieldgrid.x()
     y = fieldgrid.y()
     dx, dy = fieldgrid.dx, fieldgrid.dy
-
-    inner = (slice(border, -border),) * 2
-    num = den = 0j
+    num, den = 0j, 0.0
     for i0 in range(border, ny - border, _SLAB):
         rows = slice(i0 - border, min(i0 + _SLAB, ny - border) + border)
         v, ys = fieldgrid.values[rows], y[rows]
         if op == "lz":
-            applied = _lz(v, x, ys, dx, dy)[0]
+            applied = _lz(v, x, ys, dx, dy)
         elif op == "px":
-            applied = -1j * np.gradient(v, dx, axis=1)
+            applied = -1j * _diff(v[1:-1], 1, dx)
         elif op == "py":
-            applied = -1j * np.gradient(v, dy, axis=0)
-        else:
-            lz, d_dx = _lz(v, x, ys, dx, dy)
-            applied = _lz(lz, x, ys, dx, dy)[0]
-            px2 = np.gradient(d_dx, dx, axis=1)
-            np.negative(px2, out=px2)
-            np.multiply(f * f, px2, out=px2)
-            np.add(applied, px2, out=applied)   # lz^2 + (f f) (-d^2/dx^2)
-        core = v[inner]
-        den += np.vdot(core, core)
-        num += np.vdot(core, applied[inner])
+            applied = -1j * _diff(v[:, 1:-1], 0, dy)
+        else:   # lz^2 + (f f) (-d^2/dx^2)
+            applied = (_lz(_lz(v, x, ys, dx, dy), x[1:-1], ys[1:-1], dx, dy)
+                       + f * f * -_diff(_diff(v[2:-2], 1, dx), 1, dx))
+        core = v[border:-border, border:-border]
+        den += np.sum(core.real ** 2 + core.imag ** 2)
+        num += np.sum(core.conj() * applied)
+    if not den > 0.0:
+        raise UndefinedMeanError("field has zero norm on the grid quadrature region; "
+                                 f"mean of {op} is undefined")
     quot = num / den
     scale = max(1.0, abs(quot))
     if abs(quot.imag) > 1e-6 * scale:

@@ -312,7 +312,7 @@ def plancherel_overlap(a, b):
     a single cone.  Satisfies overlap(a, b) = conj(overlap(b, a)).
     """
     _require_same_cone(a, b)
-    return complex(2.0 * math.pi / a.m * np.vdot(a.samples, b.samples))
+    return complex(2.0 * math.pi / a.m * np.sum(a.samples.conj() * b.samples))
 
 
 def parseval_norm(ring):

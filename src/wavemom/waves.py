@@ -16,6 +16,7 @@ the complex field on the grid of 1-D axes x, y at plane z, of shape
 """
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -233,7 +234,9 @@ class FieldGrid:
     sample (i, j) sits at (x0 + j*dx, y0 + i*dy).  ``meta`` is the field's
     cone.  A grid compares by identity.  Its geometry, cone and plane are
     checked once, when it is built, so only ``values`` may be reassigned,
-    with a finite complex array of the same shape.
+    with a finite complex array of the same shape.  The sizes are kept as
+    Python ints, and the spacings, origin and plane as Python floats; an
+    origin of None centres its axis on 0, as in ``sample_grid``.
     """
 
     nx: int
@@ -275,8 +278,14 @@ class FieldGrid:
         return x0, y0
 
     def __post_init__(self):
-        self.check_geometry(self.nx, self.ny, self.dx, self.dy, self.x0, self.y0, self.meta,
-                            self.z_plane)
+        try:
+            self.nx, self.ny = operator.index(self.nx), operator.index(self.ny)
+        except TypeError:
+            raise RangeError(f"grid size must be integers, got {self.nx!r}x{self.ny!r}") from None
+        origin = self.check_geometry(self.nx, self.ny, self.dx, self.dy, self.x0, self.y0,
+                                     self.meta, self.z_plane)
+        self.dx, self.dy, self.x0, self.y0, self.z_plane = map(
+            float, (self.dx, self.dy, *origin, self.z_plane))
         vals = np.ascontiguousarray(self.values, dtype=np.complex128)
         if vals.shape != (self.ny, self.nx):
             raise RangeError(
@@ -341,4 +350,4 @@ def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None
     x = x0 + dx * np.arange(nx)
     y = y0 + dy * np.arange(ny)
     vals = label.sample(x, y, z)
-    return FieldGrid(nx, ny, float(dx), float(dy), float(x0), float(y0), vals, cone, z, description)
+    return FieldGrid(nx, ny, dx, dy, x0, y0, vals, cone, z, description)

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wavemom.cli import main
 from wavemom.fieldio import write_field, write_field_csv
-from wavemom.waves import BesselWave, MathieuWave, sample_grid
+from wavemom.spectral import Cone
+from wavemom.waves import BesselWave, FieldGrid, MathieuWave, sample_grid
 
 K = 2.0 * math.pi
 THETA = 0.3
@@ -472,6 +473,38 @@ def test_overflow_in_a_command_exits_2(tmp_path, capsys):
     for methods in ("spectral", "grid"):
         assert run(["momenta", "--in", path, "--methods", methods]) == 2
         assert capsys.readouterr().err == "error: overflow encountered in square\n"
+
+
+def test_momenta_of_a_zero_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "zero.hwmf"
+    write_field(FieldGrid(32, 32, 0.1, 0.1, None, None, np.zeros((32, 32)), Cone(K, THETA)), path)
+    assert run(["momenta", "--in", path, "--methods", "grid"]) == 2
+    assert capsys.readouterr().err == \
+        "error: field has zero norm on the grid quadrature region; mean of lz is undefined\n"
+
+
+def test_grid_oracle_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The grid route's report reads the same bytes at 1 and 2 BLAS threads.
+
+    Its sums are numpy sums, not BLAS calls.  The spectral route is left out:
+    its ring product is a BLAS matrix product whose last bits can still change
+    with the thread count.
+    """
+    root = Path(__file__).resolve().parents[1]
+    field = tmp_path / "field.hwmf"
+    assert run(["gen", "--family", "bessel", "--k", K, "--theta", THETA, "--n", 3,
+                "--grid", "512,512", "--dx", 0.0625, "--out", field]) == 0
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        proc = subprocess.run([sys.executable, "-m", "wavemom.cli", "momenta", "--in", str(field),
+                               "--methods", "grid", "--f", "0.5", "--out", str(out)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(root / "src"),
+                                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_report_q_is_the_wave_q(tmp_path, monkeypatch):

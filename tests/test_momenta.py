@@ -1,5 +1,8 @@
 import dataclasses
+import inspect
+import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -203,6 +206,19 @@ def test_grid_mean_errors():
         grid_mean(noisy, "lz")
 
 
+@pytest.mark.parametrize("op", momenta.GRID_OPS)
+def test_grid_mean_of_a_zero_interior_is_undefined(op):
+    # only the outermost ring of samples is lit, so every operator's quadrature
+    # region, one or two samples in from the border, holds zero norm
+    g = sample_grid(BesselWave(K, 0.3, 1), 32, 32, 0.2, 0.2)
+    values = g.values.copy()
+    values[1:-1, 1:-1] = 0.0
+    rim = dataclasses.replace(g, values=values)
+    with pytest.raises(UndefinedMeanError, match="^field has zero norm on the grid quadrature "
+                       f"region; mean of {op} is undefined$"):
+        grid_mean(rim, op, f=0.7)
+
+
 @pytest.mark.parametrize("op,f,bound", [("lz", None, 0.5), ("elliptic", 0.7, 0.8)])
 def test_grid_mean_working_memory(op, f, bound):
     # the stencils run on slabs of rows, so the working set is a few slabs:
@@ -310,6 +326,79 @@ def test_elliptic_invariant_odd_wave():
 
 
 # -------------------------------------------------------------- reports
+
+# the wavemom functions each route calls, beyond those in ALLOWED_CALLS
+ROUTE_CALLS = {
+    "spectral": {"ring_spectrum_from_grid", "oam_spectrum", "_kappa", "_quarter", "_tables",
+                 "_window_rows", "mean_charge", "ring_transverse_means"},
+    "grid": {"grid_mean", "_lz", "_diff"},
+    "paper": {"mathieu_eigen", "oam_mathieu_paper"},
+}
+# (caller, callee) pairs a route may make into another route's functions: the
+# grid notes compare the invariant with the eigenvalue, they do not average it
+ALLOWED_CALLS = {"grid": {("_grid_route", "_elliptic_notes"), ("_elliptic_notes", "mathieu_eigen")}}
+
+
+def _route_calls(route, fieldgrid, **kwargs):
+    """(caller, callee) names of the module-level wavemom functions that one route calls.
+
+    Methods, properties and constructors belong to the objects the route holds
+    (its own spectra, or the cone properties and grid axes that every route may
+    read) and are not followed, nor are the ``check_*`` argument checks.
+    """
+    route_code = momenta.ROUTES[route].__code__
+    stack = []   # the recorded name of each open frame, or None when not followed
+
+    def followed(frame):
+        code = frame.f_code
+        if not frame.f_globals.get("__name__", "").startswith("wavemom"):
+            return False
+        bound = inspect.unwrap(frame.f_globals.get(code.co_name, None))
+        return getattr(bound, "__code__", None) is code and not code.co_name.startswith("check_")
+
+    calls = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            inside = frame.f_code is route_code or (stack and stack[-1] is not None)
+            name = frame.f_code.co_name if inside and followed(frame) else None
+            if name is not None and frame.f_code is not route_code:
+                calls.add((stack[-1], name))
+            stack.append(name)
+        elif event == "return":
+            stack.pop()
+
+    sys.setprofile(profile)
+    try:
+        report(fieldgrid, methods=(route,), **kwargs)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_routes_are_independent():
+    """Each route of report() calls its own wavemom functions and no other route's.
+
+    The call sets are recorded with sys.setprofile on a 64^2 Mathieu grid and
+    pinned per route, so a later change that shares a helper between routes
+    has to edit ROUTE_CALLS or ALLOWED_CALLS.  Kernels shared with ``gen`` keep
+    their own oracles instead: Bessel synthesis is checked against the closed
+    form ``_oracles.bessel_field`` and ring extraction against the direct sum
+    ``_oracles.ring_direct``, so a defect common to both directions cannot cancel.
+    """
+    k, theta = K, math.pi / 6
+    f = 2.0 / (k * math.sin(theta))   # q = 1
+    g = sample_grid(MathieuWave(k, theta, 2, "even", f), 64, 64, 0.02, 0.02)
+    request = dict(window="hann", f=f, parity="even", n=2)
+    report(g, methods=tuple(momenta.ROUTES), **request)   # warms the eigenpair cache
+    for route, expected in ROUTE_CALLS.items():
+        calls = _route_calls(route, g, **request)
+        allowed = ALLOWED_CALLS.get(route, set())
+        assert allowed <= calls, route
+        assert {callee for caller, callee in calls - allowed} == expected, route
+    for a, b in itertools.combinations(ROUTE_CALLS.values(), 2):
+        assert not a & b
+
 
 def test_report_entries_and_tags():
     label, g = mathieu_grid("even", 2, spw=24.0)

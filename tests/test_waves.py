@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wavemom import spectral, waves
 from wavemom.errors import RangeError
+from wavemom.fieldio import read_field, write_field
 from wavemom.momenta import report
 from wavemom.specfun.mathieu import (
     mathieu_ce,
@@ -449,7 +450,7 @@ def test_sample_takes_any_sequence_as_an_axis(wave):
     assert point.shape == (1, 1)
 
 
-def test_field_grid_validation():
+def test_field_grid_validation(tmp_path):
     meta = spectral.Cone(1.0, 0.5)
     with pytest.raises(RangeError):
         FieldGrid(8, 8, 0.1, 0.1, 0.0, 0.0, np.zeros((8, 8), complex), meta)
@@ -465,6 +466,26 @@ def test_field_grid_validation():
             FieldGrid(16, 16, 0.1, 0.1, 0.0, 0.0, np.zeros((16, 16)), meta, z)
     with pytest.raises(RangeError, match="^slice plane z must be finite, got nan$"):
         sample_grid(BesselWave(1.0, 0.5, 2), 16, 16, 0.1, 0.1, z=math.nan)
+    # sizes are integers, kept as Python ints; a float size would write a file read_field refuses
+    for size in (16.0, 16.5, "16"):
+        with pytest.raises(RangeError, match=f"^grid size must be integers, got {size!r}x16$"):
+            FieldGrid(size, 16, 0.1, 0.1, 0.0, 0.0, np.zeros((16, 16)), meta)
+    # numpy scalars are kept as Python numbers, which write_field can serialise
+    typed = FieldGrid(np.int64(16), np.int32(17), np.float32(0.1), 0.1, np.float64(0.5),
+                      np.float32(0.25), np.zeros((17, 16)), meta, np.float32(0.5))
+    geometry = (typed.nx, typed.ny, typed.dx, typed.dy, typed.x0, typed.y0, typed.z_plane)
+    assert [type(v) for v in geometry] == [int] * 2 + [float] * 5
+    assert geometry == (16, 17, float(np.float32(0.1)), 0.1, 0.5, 0.25, 0.5)
+    # an origin of None centres its axis, as sample_grid does
+    centred = FieldGrid(32, 16, 0.1, 0.2, None, None, np.ones((16, 32)), meta)
+    assert (centred.x0, centred.y0) == (-0.5 * 31 * 0.1, -0.5 * 15 * 0.2)
+    assert centred.x()[0] == centred.x0
+    for grid in (typed, centred):
+        write_field(grid, tmp_path / "grid.hwmf")
+        back = read_field(tmp_path / "grid.hwmf")
+        assert (back.nx, back.ny, back.dx, back.dy, back.x0, back.y0, back.z_plane) == \
+            (grid.nx, grid.ny, grid.dx, grid.dy, grid.x0, grid.y0, grid.z_plane)
+        assert np.array_equal(back.values, grid.values)
 
 
 # ----------------------------------------------- pointwise eigenchecks
