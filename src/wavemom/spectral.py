@@ -32,8 +32,8 @@ MAX_RING_SAMPLES = 2 ** 16
 MAX_CHARGE = 2 ** 53  # |n| up to which float64 charge weights are exact integers
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_BLOCK = 128       # grid rows per block of the ring sum
-_TILE = 2 ** 18    # table entries per axis in one wavenumber tile of the field synthesis
+_BLOCK = 128       # grid rows per block of the ring sums
+_TILE = 2 ** 20    # floats of x-side arrays a ring sum keeps per wavenumber tile
 
 
 def ring_azimuths(m):
@@ -133,36 +133,34 @@ class OamSpectrum(Cone):
 
 
 def _window_rows(fieldgrid, window):
-    """The window's weights as a function of a row range (i0, i1); None for no window."""
+    """The window's weights as a function of a slice of rows; None for no window."""
     if window == "none":
         return None
     if window == "hann":
         # rotationally symmetric raised cosine about the grid centre: unlike a
         # separable window it leaves the angular structure of the field
         # untouched, which is what ring extraction needs
-        x = fieldgrid.x()
-        y = fieldgrid.y()
-        cx = 0.5 * (x[0] + x[-1])
-        cy = 0.5 * (y[0] + y[-1])
+        x, y = fieldgrid.x(), fieldgrid.y()
+        cx, cy = 0.5 * (x[0] + x[-1]), 0.5 * (y[0] + y[-1])
         radius = min(x[-1] - cx, y[-1] - cy)
         x_c = x - cx
 
-        def rows(i0, i1):
+        def weights(rows):
             # beyond the radius the weight is 0.5 (1 + cos pi), exactly 0.0
-            r = np.hypot(x_c, (y[i0:i1] - cy)[:, None])
+            r = np.hypot(x_c, (y[rows] - cy)[:, None])
             return 0.5 * (1.0 + np.cos(math.pi * np.minimum(r / radius, 1.0)))
-        return rows
+        return weights
     raise RangeError(f"unknown window {window!r}; use 'none' or 'hann'")
 
 
-def _quarter(m):
-    """Quarter-table index and phase maps of the M ring azimuths.
+def _quarter(kt, m):
+    """Quarter-table wavenumbers, index and phase maps of the M ring azimuths.
 
     With kappa_l = k_t cos(2 pi l / M) for l = 0..M/4, every ring wavevector
     is kx_m = s_m kappa_{l_m}, ky_m = t_m kappa_{M/4 - l_m} with signs +-1,
     so e^{-i (x kx_m + y ky_m)} = sum over a, b in (cos, sin) of
-    a(x kappa_{l_m}) b(y kappa_{M/4 - l_m}) sigma[m, a, b].  Returns the
-    index l (M,) and sigma (M, 2, 2); the adjoint kernel uses conj(sigma).
+    a(x kappa_{l_m}) b(y kappa_{M/4 - l_m}) sigma[m, a, b].  Returns kappa,
+    the index l (M,) and sigma (M, 2, 2); the adjoint kernel uses conj(sigma).
     """
     q = m // 4
     j = np.arange(m)
@@ -171,13 +169,7 @@ def _quarter(m):
     s = np.where((j <= q) | (j > 3 * q), -1.0, 1.0)
     t = np.where(j <= 2 * q, -1.0, 1.0)
     sigma = np.stack([np.ones(m), -1j * t, -1j * s, -s * t], axis=1).reshape(m, 2, 2)
-    return index, sigma
-
-
-def _kappa(kt, m):
-    """The quarter-table wavenumbers kappa_l = k_t cos(2 pi l / M), l = 0..M/4."""
-    q = m // 4
-    return kt * np.cos(0.5 * math.pi * np.arange(q + 1) / q)
+    return kt * np.cos(0.5 * math.pi * np.arange(q + 1) / q), index, sigma
 
 
 def _tables(coords, kappa):
@@ -189,41 +181,58 @@ def _tables(coords, kappa):
     return out
 
 
+def _blocks(x, y, kappa, width):
+    """Yield (tile, _tables(x, kappa[tile]), rows, _tables(y[rows], kappa[::-1][tile])):
+    tiles of _TILE // (width * max(len(x), _BLOCK)) wavenumbers, at least one, for a caller
+    that keeps width floats per wavenumber and x sample or row, each cut into blocks of
+    _BLOCK rows, so each entry is built once and no table spans the grid."""
+    step = max(1, _TILE // (width * max(len(x), _BLOCK)))
+    for l0 in range(0, len(kappa), step):
+        tile = slice(l0, l0 + step)
+        tx = _tables(x, kappa[tile])
+        for i0 in range(0, len(y), _BLOCK):
+            rows = slice(i0, min(i0 + _BLOCK, len(y)))
+            yield tile, tx, rows, _tables(y[rows], kappa[::-1][tile])
+
+
+def _product(a, b, out=None):
+    """a @ b, into out if given, with b's columns past its last multiple of 8 in a product
+    of their own: OpenBLAS gives those of a whole product other bits at another thread count."""
+    cut = b.shape[1] // 8 * 8
+    out = np.empty((len(a), b.shape[1])) if out is None else out
+    np.matmul(a, b[:, :cut], out=out[:, :cut])
+    np.matmul(a, b[:, cut:], out=out[:, cut:])
+    return out
+
+
 def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
     """Ring amplitude of a sampled field by direct nonuniform Fourier sums.
 
     The continuous transform integral is evaluated as a Riemann sum over
     the grid directly at the M ring wavevectors (cost O(nx ny M)).  The
     ring's symmetries reduce the exponentials to real cos/sin tables of
-    M/4 + 1 wavenumbers per axis, summed as real matrix products over
-    fixed blocks of _BLOCK grid rows in a fixed order, so results are
-    reproducible bit for bit; a window is built one block at a time too.
-    The slice plane's axial phase is removed, making spectra of different
-    z planes identical.  The transverse
-    wavenumber must stay below the grid Nyquist limit pi / max(dx, dy).
+    M/4 + 1 wavenumbers per axis, summed as real matrix products over the
+    tiles and row blocks of :func:`_blocks` in a fixed order, so results are
+    reproducible bit for bit; a window is built one row block at a time too.
+    The slice plane's axial phase is removed, making spectra of different z
+    planes identical.  The transverse wavenumber must stay below the grid
+    Nyquist limit pi / max(dx, dy).
     """
     check_ring_size(m)
     meta = fieldgrid.meta
-    kt = meta.kt
     nyquist = math.pi / max(fieldgrid.dx, fieldgrid.dy)
-    if kt >= nyquist:
-        raise RangeError(
-            f"transverse wavenumber k_t = {kt:g} is at or beyond the grid "
-            f"Nyquist limit {nyquist:g}; refine the sampling"
-        )
+    if meta.kt >= nyquist:
+        raise RangeError(f"transverse wavenumber k_t = {meta.kt:g} is at or beyond the grid "
+                         f"Nyquist limit {nyquist:g}; refine the sampling")
     vals = fieldgrid.values
     window_rows = _window_rows(fieldgrid, window)
-    kappa = _kappa(kt, m)
-    tx = _tables(fieldgrid.x(), kappa).reshape(fieldgrid.nx, -1)     # (nx, 2 (M/4+1))
-    y = fieldgrid.y()
+    kappa, index, sigma = _quarter(meta.kt, m)
     acc = np.zeros((2, len(kappa), 2, 2))
-    for i0 in range(0, fieldgrid.ny, _BLOCK):
-        rows = vals[i0:i0 + _BLOCK]
-        if window_rows is not None:
-            rows = rows * window_rows(i0, i0 + _BLOCK)
-        parts = (np.concatenate((rows.real, rows.imag)) @ tx).reshape(2, len(rows), 2, -1)
-        acc += np.einsum("pial,ibl->plab", parts, _tables(y[i0:i0 + _BLOCK], kappa[::-1]))
-    index, sigma = _quarter(m)
+    for tile, tx, rows, ty in _blocks(fieldgrid.x(), fieldgrid.y(), kappa, 2):
+        block = vals[rows] if window_rows is None else vals[rows] * window_rows(rows)
+        parts = _product(np.concatenate((block.real, block.imag)), tx.reshape(len(tx), -1))
+        acc[:, tile] += np.einsum("pial,ibl->plab", parts.reshape(2, len(ty), 2, -1), ty)
+        del block, parts                # before the next block's window is built
     sums = np.einsum("mab,mab->m", (acc[0] + 1j * acc[1])[index], sigma)
     weight = math.sqrt(math.sin(meta.theta)) * fieldgrid.dx * fieldgrid.dy
     carrier = np.exp(-1j * meta.kz * fieldgrid.z_plane)
@@ -237,33 +246,24 @@ def field_from_ring(ring, x, y, z):
     the trapezoid rule for the angular-spectrum (Whittaker) integral, which
     is spectrally accurate for a smooth ring profile.  Returns shape
     (len(y), len(x)).  The adjoint of :func:`ring_spectrum_from_grid`'s kernel
-    on the same quarter tables, summed over tiles of the wavenumbers kappa
-    with at most _TILE table entries per axis (at least one wavenumber), so
-    each table entry is computed once and no temporary grows with len(x) * M.
+    on the same quarter tables and the same tiles and row blocks of
+    :func:`_blocks`, so no temporary grows with len(x) * M.
     """
-    m = ring.m
-    kappa = _kappa(ring.kt, m)
-    index, sigma = _quarter(m)
-    scale = math.sin(ring.theta) * 2.0 * math.pi / m * np.exp(1j * ring.kz * z)
+    kappa, index, sigma = _quarter(ring.kt, ring.m)
+    scale = math.sin(ring.theta) * 2.0 * math.pi / ring.m * np.exp(1j * ring.kz * z)
     coef = np.zeros((len(kappa), 2, 2), dtype=np.complex128)
     np.add.at(coef, index, sigma.conj() * (scale * ring.samples)[:, None, None])
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     out = np.empty((len(y), len(x)), dtype=np.complex128)
     pairs = out.view(np.float64)        # (ny, 2 nx): re, im interleaved
-    step = max(1, _TILE // (2 * max(len(x), len(y))))
-    rows = max(1, _TILE // (2 * len(x)))
-    for l0 in range(0, len(kappa), step):
-        tile = slice(l0, l0 + step)
-        # w[b, l, j] = sum_a coef[l, a, b] a(x_j kappa_l): the x half of the kernel
-        w = np.einsum("lab,jal->blj", coef[tile], _tables(x, kappa[tile]), order="C")
-        w = w.reshape(-1, len(x)).view(np.float64)
-        ty = _tables(y, kappa[::-1][tile]).reshape(len(y), -1)
-        if l0 == 0:
-            np.matmul(ty, w, out=pairs)
-            continue
-        for i0 in range(0, len(y), rows):   # later wavenumber tiles add in row blocks
-            pairs[i0:i0 + rows] += ty[i0:i0 + rows] @ w
+    for tile, tx, rows, ty in _blocks(x, y, kappa, 6):
+        if rows.start == 0:
+            # w[b, l, j] = sum_a coef[l, a, b] a(x_j kappa_l): the x half of the kernel
+            w = np.einsum("lab,jal->blj", coef[tile], tx, order="C").reshape(-1, len(x)).view(np.float64)
+        if tile.start == 0:
+            _product(ty.reshape(len(ty), -1), w, out=pairs[rows])
+        else:                           # later wavenumber tiles add
+            pairs[rows] += _product(ty.reshape(len(ty), -1), w)
     return out
 
 

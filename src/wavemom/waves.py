@@ -252,12 +252,16 @@ class FieldGrid:
 
     @staticmethod
     def check_geometry(nx, ny, dx, dy, x0, y0, meta, z_plane):
-        """Return the origin (x0, y0), centring on 0 an axis whose origin is None.
+        """Return (nx, ny, x0, y0), the sizes as ints and an origin of None centred on 0.
 
-        Raise RangeError unless z_plane is finite, the grid holds 16x16 to MAX_SAMPLES
-        samples (checked before any float is made of nx and ny), its spacings are finite
-        and positive, and its largest phase on meta's cone,
+        Raise RangeError unless the sizes are integers, z_plane is finite, the grid holds
+        16x16 to MAX_SAMPLES samples (checked before any float is made of nx and ny), its
+        spacings are finite and positive, and its largest phase on meta's cone,
         k_t (max|x| + max|y|) + |k_z z_plane|, is finite."""
+        try:
+            nx, ny = operator.index(nx), operator.index(ny)
+        except TypeError:
+            raise RangeError(f"grid size must be integers, got {nx!r}x{ny!r}") from None
         if not math.isfinite(z_plane):
             raise RangeError(f"slice plane z must be finite, got {z_plane}")
         if nx < 16 or ny < 16:
@@ -275,15 +279,11 @@ class FieldGrid:
         reach = max(abs(x0), abs(x0 + (nx - 1) * dx)) + max(abs(y0), abs(y0 + (ny - 1) * dy))
         if not math.isfinite(meta.kt * reach + abs(meta.kz * z_plane)):
             raise RangeError("largest phase k_t (max|x| + max|y|) + |k_z z_plane| is not finite")
-        return x0, y0
+        return nx, ny, x0, y0
 
     def __post_init__(self):
-        try:
-            self.nx, self.ny = operator.index(self.nx), operator.index(self.ny)
-        except TypeError:
-            raise RangeError(f"grid size must be integers, got {self.nx!r}x{self.ny!r}") from None
-        origin = self.check_geometry(self.nx, self.ny, self.dx, self.dy, self.x0, self.y0,
-                                     self.meta, self.z_plane)
+        self.nx, self.ny, *origin = self.check_geometry(
+            self.nx, self.ny, self.dx, self.dy, self.x0, self.y0, self.meta, self.z_plane)
         self.dx, self.dy, self.x0, self.y0, self.z_plane = map(
             float, (self.dx, self.dy, *origin, self.z_plane))
         vals = np.ascontiguousarray(self.values, dtype=np.complex128)
@@ -342,11 +342,10 @@ def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None
     and Bessel waves refuse an order and reach that MAX_RING_SAMPLES ring
     samples cannot synthesise.
     """
-    nx, ny = int(nx), int(ny)
     if description is None:
         description = f"{label.family} wave sample"
     cone, z = Cone(label.k, label.theta), float(z)
-    x0, y0 = FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, cone, z)  # before any sample is computed
+    nx, ny, x0, y0 = FieldGrid.check_geometry(nx, ny, dx, dy, x0, y0, cone, z)  # before any sample is computed
     x = x0 + dx * np.arange(nx)
     y = y0 + dy * np.arange(ny)
     vals = label.sample(x, y, z)

@@ -483,28 +483,39 @@ def test_momenta_of_a_zero_field_exits_2(tmp_path, capsys):
         "error: field has zero norm on the grid quadrature region; mean of lz is undefined\n"
 
 
-def test_grid_oracle_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """The grid route's report reads the same bytes at 1 and 2 BLAS threads.
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """``gen``, ``spectrum`` and ``momenta`` write the same bytes at 1 and 2 BLAS threads.
 
-    Its sums are numpy sums, not BLAS calls.  The spectral route is left out:
-    its ring product is a BLAS matrix product whose last bits can still change
-    with the thread count.
+    The grid route sums with numpy, not BLAS.  Ring extraction and synthesis
+    keep a product's columns past a multiple of 8 in a product of their own; in
+    one product those columns changed with the thread count, for the ring's x
+    product on this 512^2 grid and for the synthesis of a 333 x 517 one.
     """
     root = Path(__file__).resolve().parents[1]
     field = tmp_path / "field.hwmf"
     assert run(["gen", "--family", "bessel", "--k", K, "--theta", THETA, "--n", 3,
                 "--grid", "512,512", "--dx", 0.0625, "--out", field]) == 0
-    reports = []
+    commands = {"gen": ["gen", "--family", "bessel", "--k", K, "--theta", THETA, "--n", 3,
+                        "--grid", "333,517", "--dx", 0.0625, "--out", "odd.hwmf"],
+                "grid": ["momenta", "--in", field, "--methods", "grid", "--f", "0.5"],
+                "spectrum": ["spectrum", "--in", field, "--window", "hann",
+                             "--out-ring", "ring.csv", "--out-oam", "oam.csv"],
+                "momenta": ["momenta", "--in", field, "--methods", "spectral,grid", "--window", "hann"]}
+    outputs = {}
     for threads in ("1", "2"):
-        out = tmp_path / f"report-{threads}.json"
-        proc = subprocess.run([sys.executable, "-m", "wavemom.cli", "momenta", "--in", str(field),
-                               "--methods", "grid", "--f", "0.5", "--out", str(out)],
-                              capture_output=True, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": str(root / "src"),
-                                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
-        assert proc.returncode == 0, proc.stderr
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+        work = tmp_path / threads
+        work.mkdir()
+        for name, args in commands.items():
+            proc = subprocess.run([sys.executable, "-m", "wavemom.cli", *map(str, args)],
+                                  capture_output=True, timeout=120, cwd=work,
+                                  env={**os.environ, "PYTHONPATH": str(root / "src"),
+                                       "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads, name] = proc.stdout
+        for name in ("odd.hwmf", "ring.csv", "oam.csv"):
+            outputs[threads, name] = (work / name).read_bytes()
+    for key in [*commands, "odd.hwmf", "ring.csv", "oam.csv"]:
+        assert outputs["1", key] == outputs["2", key], key
 
 
 def test_report_q_is_the_wave_q(tmp_path, monkeypatch):

@@ -329,8 +329,8 @@ def test_elliptic_invariant_odd_wave():
 
 # the wavemom functions each route calls, beyond those in ALLOWED_CALLS
 ROUTE_CALLS = {
-    "spectral": {"ring_spectrum_from_grid", "oam_spectrum", "_kappa", "_quarter", "_tables",
-                 "_window_rows", "mean_charge", "ring_transverse_means"},
+    "spectral": {"ring_spectrum_from_grid", "oam_spectrum", "_quarter", "_blocks", "_tables",
+                 "_product", "_window_rows", "mean_charge", "ring_transverse_means"},
     "grid": {"grid_mean", "_lz", "_diff"},
     "paper": {"mathieu_eigen", "oam_mathieu_paper"},
 }
@@ -381,10 +381,12 @@ def test_routes_are_independent():
 
     The call sets are recorded with sys.setprofile on a 64^2 Mathieu grid and
     pinned per route, so a later change that shares a helper between routes
-    has to edit ROUTE_CALLS or ALLOWED_CALLS.  Kernels shared with ``gen`` keep
-    their own oracles instead: Bessel synthesis is checked against the closed
-    form ``_oracles.bessel_field`` and ring extraction against the direct sum
-    ``_oracles.ring_direct``, so a defect common to both directions cannot cancel.
+    has to edit ROUTE_CALLS or ALLOWED_CALLS.  ``gen`` shares ``_blocks`` (with
+    ``_quarter``, ``_tables`` and ``_product``) with the spectral route, and no
+    other route uses them.  That shared kernel keeps its own oracles instead: Bessel
+    synthesis is checked against the closed form ``_oracles.bessel_field`` and
+    ring extraction against the direct sum ``_oracles.ring_direct``, so a defect
+    common to both directions cannot cancel.
     """
     k, theta = K, math.pi / 6
     f = 2.0 / (k * math.sin(theta))   # q = 1

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
+from wavemom import spectral
 from wavemom.errors import RangeError
 from wavemom.spectral import (
     Cone,
@@ -87,6 +88,44 @@ def test_ring_matches_direct_exponential_sum(m, window):
         direct = ring_direct(g, m, window)
         ring = ring_spectrum_from_grid(g, m, window)
         assert np.abs(ring.samples - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("window", ["none", "hann"])
+def test_ring_sum_over_several_tiles_matches_direct_sum(monkeypatch, window):
+    # tiles of 20 wavenumbers cut the 65 of M = 256 into four, the last one short,
+    # and 300 rows come in two full row blocks and a short one
+    monkeypatch.setattr(spectral, "_TILE", 2 * spectral._BLOCK * 20)
+    x_tables = []
+    tables = spectral._tables
+
+    def counted(coords, kappa):
+        if len(coords) == 48:
+            x_tables.append(len(kappa))
+        return tables(coords, kappa)
+    monkeypatch.setattr(spectral, "_tables", counted)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((300, 48)) + 1j * rng.standard_normal((300, 48))
+    g = FieldGrid(48, 300, 0.5, 0.5, None, None, values, Cone(K, 0.3), 0.7)
+    direct = ring_direct(g, 256, window)
+    ring = ring_spectrum_from_grid(g, 256, window)
+    assert x_tables == [20, 20, 20, 5]
+    assert np.abs(ring.samples - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+def test_ring_working_memory_is_tiled():
+    # M = 8192 on a 1024 x 16 strip: a table of x for all 2049 wavenumbers would
+    # alone take 33.6 MB; a tile of 512 takes 8.4 MB, and the peak (21.9 MB) comes
+    # as the next tile's table is built beside it
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((16, 1024)) + 1j * rng.standard_normal((16, 1024))
+    g = FieldGrid(1024, 16, 0.05, 0.05, None, None, values, Cone(K, 0.3))
+    tracemalloc.start()
+    try:
+        ring_spectrum_from_grid(g, 8192, "hann")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_bessel_ring_profile_angular_structure():

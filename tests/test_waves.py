@@ -327,6 +327,27 @@ def test_bessel_synthesis_memory_is_tiled():
     assert np.abs(g.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_bessel_synthesis_over_several_tiles(monkeypatch):
+    # tiles of 16 wavenumbers cut the 65 of M = 256 into five, the last one short,
+    # and 300 rows come in two full row blocks and a short one
+    monkeypatch.setattr(spectral, "_TILE", 6 * spectral._BLOCK * 16)
+    x_tables = []
+    tables = spectral._tables
+
+    def counted(coords, kappa):
+        if len(coords) == 41:
+            x_tables.append(len(kappa))
+        return tables(coords, kappa)
+    monkeypatch.setattr(spectral, "_tables", counted)
+    w = BesselWave(2.0 * math.pi, 0.3, 3)
+    x = np.linspace(-40.0, 30.0, 41) / w.kt
+    y = np.linspace(-50.0, 45.0, 300) / w.kt
+    g = w.sample(x, y, 0.4)
+    assert x_tables == [16, 16, 16, 16, 1]
+    ref = bessel_field(w, *np.meshgrid(x, y), 0.4)
+    assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_bessel_synthesis_builds_each_table_entry_once(monkeypatch):
     # at M = 2^16 a wavenumber tile holds few kappa, so the tables of both
     # axes must be built tile by tile over kappa, not again per tile of x
@@ -450,7 +471,7 @@ def test_sample_takes_any_sequence_as_an_axis(wave):
     assert point.shape == (1, 1)
 
 
-def test_field_grid_validation(tmp_path):
+def test_field_grid_validation(tmp_path, monkeypatch):
     meta = spectral.Cone(1.0, 0.5)
     with pytest.raises(RangeError):
         FieldGrid(8, 8, 0.1, 0.1, 0.0, 0.0, np.zeros((8, 8), complex), meta)
@@ -470,6 +491,14 @@ def test_field_grid_validation(tmp_path):
     for size in (16.0, 16.5, "16"):
         with pytest.raises(RangeError, match=f"^grid size must be integers, got {size!r}x16$"):
             FieldGrid(size, 16, 0.1, 0.1, 0.0, 0.0, np.zeros((16, 16)), meta)
+    # sample_grid shares the rule and refuses such a size before it samples anything
+    monkeypatch.setattr(BesselWave, "sample", lambda *args: pytest.fail("sampled a refused grid"))
+    for size in (16.9, 16.0, "16"):
+        with pytest.raises(RangeError, match=f"^grid size must be integers, got {size!r}x16$"):
+            sample_grid(BesselWave(1.0, 0.5, 2), size, 16, 0.1, 0.1)
+    monkeypatch.undo()
+    sampled = sample_grid(BesselWave(1.0, 0.5, 2), np.int64(16), np.int32(17), 0.1, 0.1)
+    assert (type(sampled.nx), type(sampled.ny), sampled.values.shape) == (int, int, (17, 16))
     # numpy scalars are kept as Python numbers, which write_field can serialise
     typed = FieldGrid(np.int64(16), np.int32(17), np.float32(0.1), 0.1, np.float64(0.5),
                       np.float32(0.25), np.zeros((17, 16)), meta, np.float32(0.5))
