@@ -114,14 +114,14 @@ def read_field(path):
         held = (expected + rest) // 16 if rest <= expected else f"more than {2 * nx * ny}"
         raise FormatError(
             f"{path}: payload holds {held} samples but the header declares nx*ny = {nx * ny}")
-    floats = values.reshape(-1).view(np.float64)
-    if not np.isfinite(floats).all():
-        bad = int(np.argmin(np.isfinite(floats))) // 2
+    try:
+        return FieldGrid(nx, ny, dx, dy, x0, y0, values, cone, z_plane, description)
+    except RangeError:  # geometry and shape are checked above: only a non-finite sample is left
+        bad = int(np.argmin(np.isfinite(values.reshape(-1).view(np.float64)))) // 2
         raise FormatError(
             f"{path}: non-finite sample at index {bad} "
             f"(byte offset {payload_start + 16 * bad})"
-        )
-    return FieldGrid(nx, ny, dx, dy, x0, y0, values, cone, z_plane, description)
+        ) from None
 
 
 def _fmt(values):

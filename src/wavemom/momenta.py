@@ -70,9 +70,12 @@ def oam_mathieu_paper(parity, n, q):
 
 
 def _diff(v, axis, h):
-    """Centred difference (v[i+1] - v[i-1]) / 2h along axis, on the samples that have both neighbours."""
+    """Centred difference (v[i+1] - v[i-1]) / 2h along axis, on the samples that have both neighbours.
+
+    Multiplies by 1 / 2h: numpy divides a complex array by a real number as by a complex
+    one, at the same reciprocal times each part, so the bits are those of the division."""
     lead = (slice(None),) * axis
-    return (v[lead + (slice(2, None),)] - v[lead + (slice(None, -2),)]) / (2.0 * h)
+    return (v[lead + (slice(2, None),)] - v[lead + (slice(None, -2),)]) * (1.0 / (2.0 * h))
 
 
 def _lz(v, x, y, dx, dy):

@@ -32,7 +32,7 @@ MAX_RING_SAMPLES = 2 ** 16
 MAX_CHARGE = 2 ** 53  # |n| up to which float64 charge weights are exact integers
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_BLOCK = 128       # grid rows per block of the ring sums
+_BLOCK = 32        # grid rows per block of the ring sums
 _TILE = 2 ** 20    # floats of x-side arrays a ring sum keeps per wavenumber tile
 
 
@@ -133,7 +133,8 @@ class OamSpectrum(Cone):
 
 
 def _window_rows(fieldgrid, window):
-    """The window's weights as a function of a slice of rows; None for no window."""
+    """The window's weights as a function of a slice of at most _BLOCK rows, written into one
+    buffer that each call overwrites; None for no window."""
     if window == "none":
         return None
     if window == "hann":
@@ -144,11 +145,19 @@ def _window_rows(fieldgrid, window):
         cx, cy = 0.5 * (x[0] + x[-1]), 0.5 * (y[0] + y[-1])
         radius = min(x[-1] - cx, y[-1] - cy)
         x_c = x - cx
+        buf = np.empty((min(len(y), _BLOCK), len(x)))
 
         def weights(rows):
+            # 0.5 (1 + cos(pi min(r / radius, 1))), one ufunc at a time in place;
             # beyond the radius the weight is 0.5 (1 + cos pi), exactly 0.0
-            r = np.hypot(x_c, (y[rows] - cy)[:, None])
-            return 0.5 * (1.0 + np.cos(math.pi * np.minimum(r / radius, 1.0)))
+            out = buf[:rows.stop - rows.start]
+            np.hypot(x_c, (y[rows] - cy)[:, None], out=out)
+            np.divide(out, radius, out=out)
+            np.minimum(out, 1.0, out=out)
+            np.multiply(math.pi, out, out=out)
+            np.cos(out, out=out)
+            np.add(1.0, out, out=out)
+            return np.multiply(0.5, out, out=out)
         return weights
     raise RangeError(f"unknown window {window!r}; use 'none' or 'hann'")
 
@@ -172,12 +181,14 @@ def _quarter(kt, m):
     return kt * np.cos(0.5 * math.pi * np.arange(q + 1) / q), index, sigma
 
 
-def _tables(coords, kappa):
-    """cos and sin of coords * kappa, shape (len(coords), 2, len(kappa))."""
-    arg = np.multiply.outer(coords, kappa)
-    out = np.empty((len(coords), 2, len(kappa)))
-    np.cos(arg, out=out[:, 0])
-    np.sin(arg, out=out[:, 1])
+def _tables(coords, kappa, buf):
+    """cos and sin of coords * kappa, shape (len(coords), 2, len(kappa)), written into the
+    start of the flat float buffer buf: the product goes into the cos slot, sin is taken
+    from it, then cos in place, so no other array is made."""
+    out = buf[:len(coords) * 2 * len(kappa)].reshape(len(coords), 2, len(kappa))
+    np.multiply.outer(coords, kappa, out=out[:, 0])
+    np.sin(out[:, 0], out=out[:, 1])
+    np.cos(out[:, 0], out=out[:, 0])
     return out
 
 
@@ -185,14 +196,18 @@ def _blocks(x, y, kappa, width):
     """Yield (tile, _tables(x, kappa[tile]), rows, _tables(y[rows], kappa[::-1][tile])):
     tiles of _TILE // (width * max(len(x), _BLOCK)) wavenumbers, at least one, for a caller
     that keeps width floats per wavenumber and x sample or row, each cut into blocks of
-    _BLOCK rows, so each entry is built once and no table spans the grid."""
-    step = max(1, _TILE // (width * max(len(x), _BLOCK)))
+    _BLOCK rows, so each entry is built once and no table spans the grid.  Every x table
+    is built in one buffer and every y table in another: a table is valid until the next
+    one of its axis is yielded."""
+    step = min(len(kappa), max(1, _TILE // (width * max(len(x), _BLOCK))))
+    x_buf = np.empty(len(x) * 2 * step)
+    y_buf = np.empty(min(len(y), _BLOCK) * 2 * step)
     for l0 in range(0, len(kappa), step):
-        tile = slice(l0, l0 + step)
-        tx = _tables(x, kappa[tile])
+        tile = slice(l0, min(l0 + step, len(kappa)))
+        tx = _tables(x, kappa[tile], x_buf)
         for i0 in range(0, len(y), _BLOCK):
             rows = slice(i0, min(i0 + _BLOCK, len(y)))
-            yield tile, tx, rows, _tables(y[rows], kappa[::-1][tile])
+            yield tile, tx, rows, _tables(y[rows], kappa[::-1][tile], y_buf)
 
 
 def _product(a, b, out=None):
@@ -213,10 +228,12 @@ def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
     ring's symmetries reduce the exponentials to real cos/sin tables of
     M/4 + 1 wavenumbers per axis, summed as real matrix products over the
     tiles and row blocks of :func:`_blocks` in a fixed order, so results are
-    reproducible bit for bit; a window is built one row block at a time too.
-    The slice plane's axial phase is removed, making spectra of different z
-    planes identical.  The transverse wavenumber must stay below the grid
-    Nyquist limit pi / max(dx, dy).
+    reproducible bit for bit.  A block's window and its windowed real and
+    imaginary rows are written into buffers made once per call, so the
+    working set is about one tile's x table.  The slice plane's axial phase
+    is removed, making spectra of different z planes identical.  The
+    transverse wavenumber must stay below the grid Nyquist limit
+    pi / max(dx, dy).
     """
     check_ring_size(m)
     meta = fieldgrid.meta
@@ -228,11 +245,19 @@ def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
     window_rows = _window_rows(fieldgrid, window)
     kappa, index, sigma = _quarter(meta.kt, m)
     acc = np.zeros((2, len(kappa), 2, 2))
+    # a block's (windowed) real rows, then its imaginary rows
+    pairs = np.empty(2 * min(fieldgrid.ny, _BLOCK) * fieldgrid.nx)
     for tile, tx, rows, ty in _blocks(fieldgrid.x(), fieldgrid.y(), kappa, 2):
-        block = vals[rows] if window_rows is None else vals[rows] * window_rows(rows)
-        parts = _product(np.concatenate((block.real, block.imag)), tx.reshape(len(tx), -1))
+        block = vals[rows]
+        pair = pairs[:2 * block.size].reshape(2, *block.shape)
+        if window_rows is None:
+            pair[0], pair[1] = block.real, block.imag
+        else:
+            w = window_rows(rows)
+            np.multiply(block.real, w, out=pair[0])
+            np.multiply(block.imag, w, out=pair[1])
+        parts = _product(pair.reshape(2 * len(block), -1), tx.reshape(len(tx), -1))
         acc[:, tile] += np.einsum("pial,ibl->plab", parts.reshape(2, len(ty), 2, -1), ty)
-        del block, parts                # before the next block's window is built
     sums = np.einsum("mab,mab->m", (acc[0] + 1j * acc[1])[index], sigma)
     weight = math.sqrt(math.sin(meta.theta)) * fieldgrid.dx * fieldgrid.dy
     carrier = np.exp(-1j * meta.kz * fieldgrid.z_plane)

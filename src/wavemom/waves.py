@@ -40,6 +40,7 @@ _ABOVE_ZERO = math.ulp(0.0)
 MAX_SAMPLES = 2 ** 26  # nx * ny: 1 GiB of complex128 samples
 _ALIASING = 1e-16  # bound on the ring-sum aliasing of a synthesised Bessel grid
 _ROWS = 32  # grid rows per block of MathieuWave.sample
+_SLAB = 2 ** 16  # floats per slab of FieldGrid's finiteness check, so no bool array spans the grid
 
 
 def check_focal(cone, f):
@@ -292,8 +293,10 @@ class FieldGrid:
                 f"values shape {vals.shape} does not match (ny, nx) = "
                 f"({self.ny}, {self.nx})"
             )
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise RangeError("field values must all be finite")
+        floats = vals.reshape(-1).view(np.float64)
+        for i0 in range(0, len(floats), _SLAB):
+            if not np.isfinite(floats[i0:i0 + _SLAB]).all():
+                raise RangeError("field values must all be finite")
         self.values = vals
 
     def x(self):

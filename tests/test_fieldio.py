@@ -83,17 +83,21 @@ def test_count_mismatch_rejected(tmp_path):
 
 
 def test_non_finite_payload_rejected(tmp_path):
-    g = random_grid()
-    path = tmp_path / "field.hwmf"
-    write_field(g, path)
-    raw = bytearray(path.read_bytes())
-    header_len = raw.index(b"\n") + 1
-    bad_index = 7
-    raw[header_len + 16 * bad_index: header_len + 16 * bad_index + 8] = \
-        np.float64(np.nan).tobytes()
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=f"index {bad_index}"):
-        read_field(path)
+    # the real part of an early sample, and the imaginary part of one past the first
+    # slab of FieldGrid's finiteness check, which read_field relies on
+    for nx, ny, bad_index, part in ((24, 18, 7, 0), (300, 400, 70001, 1)):
+        g = random_grid(nx=nx, ny=ny)
+        path = tmp_path / "field.hwmf"
+        write_field(g, path)
+        raw = bytearray(path.read_bytes())
+        header_len = raw.index(b"\n") + 1
+        start = header_len + 16 * bad_index + 8 * part
+        raw[start:start + 8] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as exc:
+            read_field(path)
+        assert str(exc.value) == (f"{path}: non-finite sample at index {bad_index} "
+                                  f"(byte offset {header_len + 16 * bad_index})")
 
 
 def _fifo(tmp_path, raw):
@@ -159,7 +163,8 @@ def test_long_tail_is_counted_in_chunks(tmp_path):
 
 def test_hwmf_io_working_memory(tmp_path):
     # the payload moves straight between the file and the sample array: writing
-    # makes no copy of it (was 1.0x) and reading holds it once (was 2.2x)
+    # makes no copy of it (was 1.0x) and reading holds it once, with one finiteness
+    # check in slabs (1.017x measured; 1.13x with a grid-sized check, 2.2x with a copy)
     g = sample_grid(BesselWave(2.0 * math.pi, 0.3, 3), 512, 512, 0.05, 0.05)
     path = tmp_path / "field.hwmf"
     tracemalloc.start()
@@ -173,7 +178,7 @@ def test_hwmf_io_working_memory(tmp_path):
         tracemalloc.stop()
     assert back.values.tobytes() == g.values.tobytes()
     assert written <= 0.1 * g.values.nbytes
-    assert read <= 1.25 * g.values.nbytes
+    assert read <= 1.05 * g.values.nbytes
 
 
 def _set_header(path, key, value):

@@ -329,15 +329,15 @@ def test_bessel_synthesis_memory_is_tiled():
 
 def test_bessel_synthesis_over_several_tiles(monkeypatch):
     # tiles of 16 wavenumbers cut the 65 of M = 256 into five, the last one short,
-    # and 300 rows come in two full row blocks and a short one
-    monkeypatch.setattr(spectral, "_TILE", 6 * spectral._BLOCK * 16)
+    # and 300 rows end in a short row block
+    monkeypatch.setattr(spectral, "_TILE", 6 * 41 * 16)
     x_tables = []
     tables = spectral._tables
 
-    def counted(coords, kappa):
+    def counted(coords, kappa, buf):
         if len(coords) == 41:
             x_tables.append(len(kappa))
-        return tables(coords, kappa)
+        return tables(coords, kappa, buf)
     monkeypatch.setattr(spectral, "_tables", counted)
     w = BesselWave(2.0 * math.pi, 0.3, 3)
     x = np.linspace(-40.0, 30.0, 41) / w.kt
@@ -354,7 +354,7 @@ def test_bessel_synthesis_builds_each_table_entry_once(monkeypatch):
     entries = []
     tables = spectral._tables
     monkeypatch.setattr(spectral, "_tables",
-                        lambda coords, kappa: entries.append(len(coords) * len(kappa)) or tables(coords, kappa))
+                        lambda coords, kappa, buf: entries.append(len(coords) * len(kappa)) or tables(coords, kappa, buf))
     w = BesselWave(2.0 * math.pi, 0.3, 0)
     x = np.linspace(-4.8e4, 4.8e4, 41) / w.kt
     y = np.linspace(-2.2e3, 2.2e3, 23) / w.kt
