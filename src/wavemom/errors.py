@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check every integer input passes."""
+
+import operator
 
 
 class RangeError(ValueError):
@@ -23,3 +25,12 @@ class UndefinedMeanError(ValueError):
 
 class UsageError(ValueError):
     """Bad invocation: a required argument is missing or malformed."""
+
+
+def check_integers(message, *values):
+    """The values as Python ints; RangeError(message.format(*values)) unless each has an
+    integer type, a Python or numpy integer, so a float such as 2.0 is refused."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise RangeError(message.format(*values)) from None

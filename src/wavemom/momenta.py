@@ -92,7 +92,9 @@ def grid_mean(fieldgrid, op, f=None):
     quadrature region loses two border cells instead of one.  Both sums
     of the quotient are numpy sums (no BLAS, so no dependence on its
     thread count) over slabs of _SLAB rows, each read with a halo of as
-    many rows as the border, so the working set is a few slabs.  A zero
+    many rows as the border, so the working set is a few slabs.  The
+    elliptic operator's f must pass ``waves.check_focal`` on the grid's
+    cone.  A zero
     norm on the region raises UndefinedMeanError, and an imaginary part
     above 1e-6 relative a NumericalError; the real part is returned
     (raw operator units: lz dimensionless, px/py in rad/length).
@@ -101,8 +103,8 @@ def grid_mean(fieldgrid, op, f=None):
         raise RangeError(f"unknown grid operator {op!r}; choose from {GRID_OPS}")
     border = 2 if op == "elliptic" else 1
     ny = fieldgrid.ny
-    if op == "elliptic" and (f is None or not f > 0.0):
-        raise RangeError("the elliptic operator needs a positive semi-focal distance f")
+    if op == "elliptic":
+        check_focal(fieldgrid.meta, f)
     x = fieldgrid.x()
     y = fieldgrid.y()
     dx, dy = fieldgrid.dx, fieldgrid.dy

@@ -33,13 +33,14 @@ capped where double precision still leaves ~7 digits after cancellation.
 """
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from ..errors import DomainError, NumericalError, RangeError
+from ..errors import DomainError, NumericalError, RangeError, check_integers
 
 MAX_ORDER = 500
 MAX_Q = 1.0e6
@@ -62,9 +63,11 @@ class MathieuClass:
 
     @classmethod
     def from_order(cls, parity, n):
+        """The class of order n; RangeError for an unknown parity, or an order that is not
+        an integer or is out of range."""
         if parity not in ("even", "odd"):
             raise RangeError(f"parity must be 'even' or 'odd', got {parity!r}")
-        n = int(n)
+        (n,) = check_integers("Mathieu order must be an integer, got {}", n)
         if parity == "even" and n < 0:
             raise RangeError(f"even-parity order must be >= 0, got {n}")
         if parity == "odd" and n < 1:
@@ -242,7 +245,7 @@ def mathieu_eigen(parity, n, q):
     q = float(q)
     check_q(q)
     with _CACHE_LOCK:
-        return _eigen_cached(mcls, int(n), q, math.copysign(1.0, q))
+        return _eigen_cached(mcls, operator.index(n), q, math.copysign(1.0, q))
 
 
 def _fourier(first, coeffs, u, sine):

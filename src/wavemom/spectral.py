@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import RangeError, check_integers
 
 DEFAULT_RING_SAMPLES = 1024
 DEFAULT_CHARGE_WINDOW = (-40, 40)
@@ -42,21 +42,24 @@ def ring_azimuths(m):
 
 
 def check_ring_size(m):
-    """A ring holds a power of two in [256, MAX_RING_SAMPLES] samples."""
+    """A ring holds an integer power of two in [256, MAX_RING_SAMPLES] samples."""
+    message = f"ring sample count must be a power of two in [256, {MAX_RING_SAMPLES}], got {{}}"
+    (m,) = check_integers(message, m)
     if not 256 <= m <= MAX_RING_SAMPLES or m & (m - 1):
-        raise RangeError(
-            f"ring sample count must be a power of two in [256, {MAX_RING_SAMPLES}], got {m}")
+        raise RangeError(message.format(m))
 
 
 def check_charge_window(n_min, n_max, m):
-    """A charge window [n_min, n_max] must be non-empty, lie within |n| <= MAX_CHARGE and fit
-    in M ring samples."""
+    """(n_min, n_max) as Python ints: a charge window must be integers, non-empty, lie within
+    |n| <= MAX_CHARGE and fit in M ring samples."""
+    n_min, n_max = check_integers("charge range [{}, {}] must be integers", n_min, n_max)
     if n_max < n_min:
         raise RangeError(f"empty charge range [{n_min}, {n_max}]")
     if max(-n_min, n_max) > MAX_CHARGE:
         raise RangeError(f"charge range [{n_min}, {n_max}] exceeds |n| <= 2^53")
     if n_max - n_min + 1 > m:
         raise RangeError(f"charge range [{n_min}, {n_max}] exceeds the {m} ring samples")
+    return n_min, n_max
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,8 @@ class RingSpectrum(Cone):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "samples", np.ascontiguousarray(self.samples, dtype=np.complex128))
+        if self.samples.ndim != 1:
+            raise RangeError(f"ring samples must be a 1-D array, got shape {self.samples.shape}")
         check_ring_size(len(self.samples))
         if not np.all(np.isfinite(self.samples.view(np.float64))):
             raise RangeError("ring samples must be finite")
@@ -115,6 +120,8 @@ class OamSpectrum(Cone):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.complex128))
+        if self.coeffs.ndim != 1:
+            raise RangeError(f"charge coefficients must be a 1-D array, got shape {self.coeffs.shape}")
         if len(self.coeffs) != self.n_max - self.n_min + 1:
             raise RangeError("coefficient count does not match the charge range")
 
@@ -258,6 +265,7 @@ def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
             np.multiply(block.imag, w, out=pair[1])
         parts = _product(pair.reshape(2 * len(block), -1), tx.reshape(len(tx), -1))
         acc[:, tile] += np.einsum("pial,ibl->plab", parts.reshape(2, len(ty), 2, -1), ty)
+    del tx, ty, parts  # the last tile's tables, freed before the ring is recombined
     sums = np.einsum("mab,mab->m", (acc[0] + 1j * acc[1])[index], sigma)
     weight = math.sqrt(math.sin(meta.theta)) * fieldgrid.dx * fieldgrid.dy
     carrier = np.exp(-1j * meta.kz * fieldgrid.z_plane)
@@ -299,14 +307,14 @@ def oam_spectrum(ring, n_min=DEFAULT_CHARGE_WINDOW[0], n_max=DEFAULT_CHARGE_WIND
     including the (2 pi)^{-1/2} (sin theta)^{1/2} prefactor.
     """
     m = ring.m
-    check_charge_window(n_min, n_max, m)
+    n_min, n_max = check_charge_window(n_min, n_max, m)
     transform = np.fft.fft(ring.samples)
     ns = np.arange(n_min, n_max + 1)
     # e^{-i n phi_m} with phi_m = -pi + 2 pi m / M picks up (-1)^n per charge
     signs = np.where(ns % 2 == 0, 1.0, -1.0)
     raw = signs * transform[np.mod(ns, m)]
     pref = math.sqrt(math.sin(ring.theta)) / _SQRT_2PI * (2.0 * math.pi / m)
-    return OamSpectrum(ring.k, ring.theta, int(n_min), int(n_max), pref * raw)
+    return OamSpectrum(ring.k, ring.theta, n_min, n_max, pref * raw)
 
 
 def analytic_ring(label, m=DEFAULT_RING_SAMPLES):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import RangeError, UsageError
+from .errors import RangeError, UsageError, check_integers
 from .spectral import MAX_RING_SAMPLES, Cone, analytic_ring, field_from_ring
 from .specfun.mathieu import (
     MAX_Q,
@@ -44,9 +44,12 @@ _SLAB = 2 ** 16  # floats per slab of FieldGrid's finiteness check, so no bool a
 
 
 def check_focal(cone, f):
-    """RangeError unless 0 < f < inf and q = (f k_t / 2)^2 on ``cone`` stays within MAX_Q."""
-    if not (f > 0.0 and math.isfinite(f)):
+    """RangeError unless 0 < f < inf and, on a ``cone``, q = (f k_t / 2)^2 stays within
+    MAX_Q; a cone of None checks f alone, and an f of None is refused."""
+    if f is None or not 0.0 < f < math.inf:
         raise RangeError(f"semi-focal distance f must be positive, got {f}")
+    if cone is None:
+        return
     root_q = f * cone.kt / 2.0  # compared before squaring, which could overflow
     if root_q > math.sqrt(MAX_Q):
         raise RangeError(
@@ -98,8 +101,8 @@ class BesselWave(Cone):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n != int(self.n):
-            raise RangeError(f"topological charge must be an integer, got {self.n}")
+        (n,) = check_integers("topological charge must be an integer, got {}", self.n)
+        object.__setattr__(self, "n", n)
 
     def ring_profile(self, phi):
         """(2 pi sin theta)^{-1/2} e^{i n phi}."""
@@ -140,6 +143,7 @@ class MathieuWave(Cone):
     def __post_init__(self):
         super().__post_init__()
         MathieuClass.from_order(self.parity, self.n)  # validates parity and order
+        object.__setattr__(self, "n", operator.index(self.n))  # a numpy order as a Python int
         check_focal(self, self.f)
 
     @property
@@ -259,10 +263,7 @@ class FieldGrid:
         16x16 to MAX_SAMPLES samples (checked before any float is made of nx and ny), its
         spacings are finite and positive, and its largest phase on meta's cone,
         k_t (max|x| + max|y|) + |k_z z_plane|, is finite."""
-        try:
-            nx, ny = operator.index(nx), operator.index(ny)
-        except TypeError:
-            raise RangeError(f"grid size must be integers, got {nx!r}x{ny!r}") from None
+        nx, ny = check_integers("grid size must be integers, got {!r}x{!r}", nx, ny)
         if not math.isfinite(z_plane):
             raise RangeError(f"slice plane z must be finite, got {z_plane}")
         if nx < 16 or ny < 16:
@@ -314,6 +315,7 @@ def _axis(values):
 def elliptic_coords(x, y, f):
     """Map (x, y) to elliptic coordinates (xi, eta) for foci at (+-f, 0).
 
+    f must be finite and positive (``check_focal`` without a cone).
     Inverts x = f cosh(xi) cos(eta), y = f sinh(xi) sin(eta) with xi >= 0
     and eta in [-pi, pi); the sign of eta matches the sign of y, points on
     the inter-foci segment get xi = 0 and eta >= 0 (the origin maps to
@@ -322,8 +324,7 @@ def elliptic_coords(x, y, f):
     and points with y != 0 whose eta rounds to 0 get the smallest double of
     the sign of y.
     """
-    if not (f > 0.0):
-        raise RangeError(f"semi-focal distance f must be positive, got {f}")
+    check_focal(None, f)
     y = np.asarray(y, dtype=float)
     z = (np.asarray(x, dtype=float) + 1j * y) / f
     w = np.arccosh(z)

@@ -656,6 +656,15 @@ def test_gen_refuses_q_beyond_the_cap(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {_Q_CAP}\n"
 
 
+def test_gen_refuses_q_where_no_radial_xi_is_usable(tmp_path, capsys):
+    # q = (6 k sin 0.5 / 2)^2 = 81.7 > 64: the radial series keeps 7 digits at no xi
+    assert run(["gen", "--family", "mathieu-even", "--k", K, "--theta", 0.5, "--n", 2, "--f", 6,
+                "--grid", "32,32", "--dx", 0.05, "--out", tmp_path / "x.hwmf"]) == 2
+    assert capsys.readouterr().err == ("error: hyperbolic radial series is unusable at q = 81.6666 "
+                                       "(cancellation exceeds double precision at every xi)\n")
+    assert not (tmp_path / "x.hwmf").exists()
+
+
 def _valid_wave(f, parity, n):
     try:
         MathieuWave(K, ELL_THETA, n, parity, f)

@@ -287,6 +287,43 @@ def test_any_array_layout_is_accepted():
     assert ring.samples.tobytes() == np.ascontiguousarray(samples).tobytes()
 
 
+def test_ring_tables_are_freed_before_the_ring_is_recombined():
+    # M = 65536 on a 512 x 16 strip: each tile's x table takes 8 MiB, and the
+    # recombination holds the (M, 2, 2) complex sign map and the gathered sums, 4 MiB
+    # each; with the last tile's tables freed first the peak is 15.1 MiB (19.1 MiB
+    # while they were held through the recombination)
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((16, 512)) + 1j * rng.standard_normal((16, 512))
+    g = FieldGrid(512, 16, 0.05, 0.05, None, None, values, Cone(K, 0.3))
+    tracemalloc.start()
+    try:
+        ring_spectrum_from_grid(g, 65536, "hann")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 2 * 1024 * 8 + 65536 * 4 * 16 + 3.5 * 2 ** 20
+
+
+def test_ring_sizes_and_charge_windows_are_integers():
+    # a float is refused even when it is whole; a numpy integer is taken as a Python int
+    ring = bare_ring(np.ones(256, complex))
+    size = "ring sample count must be a power of two in [256, 65536], got 1024.0"
+    for refuse, message in [
+        (lambda: spectral.check_ring_size(1024.0), size),
+        (lambda: analytic_ring(BesselWave(K, 0.3, 1), 1024.0), size),
+        (lambda: oam_spectrum(ring, -3.0, 3.0), "charge range [-3.0, 3.0] must be integers"),
+        (lambda: spectral.check_charge_window(-3, 3.5, 256), "charge range [-3, 3.5] must be integers"),
+    ]:
+        with pytest.raises(RangeError) as exc:
+            refuse()
+        assert str(exc.value) == message
+    spec = oam_spectrum(ring, np.int64(-3), np.int32(3))
+    assert (type(spec.n_min), type(spec.n_max)) == (int, int)
+    assert spec.coeffs.tobytes() == oam_spectrum(ring, -3, 3).coeffs.tobytes()
+    label = BesselWave(K, 0.3, 1)
+    assert analytic_ring(label, np.int64(256)).samples.tobytes() == analytic_ring(label, 256).samples.tobytes()
+
+
 @pytest.mark.parametrize("k,theta,message", [
     (0.0, 0.3, "wavenumber k must be positive and finite, got 0.0"),
     (math.nan, 0.3, "wavenumber k must be positive and finite, got nan"),
@@ -308,7 +345,12 @@ def test_off_cone_spectra_are_refused(k, theta, message):
     (lambda: bare_ring(np.full(256, math.inf)), "ring samples must be finite"),
     (lambda: OamSpectrum(K, 0.3, -1, 1, np.ones(2)),
      "coefficient count does not match the charge range"),
-], ids=["nan", "inf", "count"])
+    # a (256, 2) array would pass the ring-size check on its length of 256
+    (lambda: bare_ring(np.ones((256, 2))), "ring samples must be a 1-D array, got shape (256, 2)"),
+    (lambda: OamSpectrum(K, 0.3, 0, 1, np.ones((2, 2))),
+     "charge coefficients must be a 1-D array, got shape (2, 2)"),
+    (lambda: OamSpectrum(K, 0.3, 0, 0, 1.0), "charge coefficients must be a 1-D array, got shape ()"),
+], ids=["nan", "inf", "count", "ring-2d", "oam-2d", "oam-0d"])
 def test_spectrum_contents_are_checked(build, message):
     with pytest.raises(RangeError) as exc:
         build()

@@ -9,10 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from wavemom import spectral, waves
 from wavemom.errors import RangeError
 from wavemom.fieldio import read_field, write_field
-from wavemom.momenta import report
+from wavemom.momenta import grid_mean, report
 from wavemom.specfun.mathieu import (
+    MathieuClass,
     mathieu_ce,
     mathieu_ce_radial,
+    mathieu_eigen,
     mathieu_norm_constant,
     radial_xi_max,
 )
@@ -449,10 +451,46 @@ def test_check_focal_refuses_for_the_wave_and_the_report(f, message):
     grid = sample_grid(PlaneWave(cone.k, cone.theta, 0.0), 16, 16, 0.05, 0.05)
     for refuse in (lambda: waves.check_focal(cone, f),
                    lambda: MathieuWave(cone.k, cone.theta, 2, "even", f),
-                   lambda: report(grid, methods=("spectral",), f=f)):
+                   lambda: report(grid, methods=("spectral",), f=f),
+                   lambda: grid_mean(grid, "elliptic", f=f)):
         with pytest.raises(RangeError) as exc:
             refuse()
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("f", [0.0, -0.3, math.nan, math.inf])
+def test_focal_rule_holds_without_a_cone(f):
+    # elliptic_coords took f = inf and gave xi == 0 everywhere
+    for refuse in (lambda: waves.check_focal(None, f),
+                   lambda: elliptic_coords(1.0, 0.5, f),
+                   lambda: elliptic_coords(np.ones(3), np.zeros(3), f)):
+        with pytest.raises(RangeError) as exc:
+            refuse()
+        assert str(exc.value) == f"semi-focal distance f must be positive, got {f}"
+
+
+def test_integer_labels_are_integer_types():
+    # the Mathieu order was truncated (n = 2.7 sampled ce_2), and BesselWave took 2.0
+    # and met NaN and inf with a bare ValueError and OverflowError
+    k, theta, f = 2.0 * math.pi, math.pi / 6, 0.3
+    grid = sample_grid(PlaneWave(k, theta, 0.0), 16, 16, 0.05, 0.05)
+    for n in (math.nan, math.inf, 2.0, 2.5, np.float64(2.0)):
+        with pytest.raises(RangeError) as exc:
+            BesselWave(k, theta, n)
+        assert str(exc.value) == f"topological charge must be an integer, got {n}"
+    for n in (2.7, 2.0, math.nan):
+        for refuse in (lambda: MathieuClass.from_order("even", n),
+                       lambda: MathieuWave(k, theta, n, "even", f),
+                       lambda: mathieu_eigen("even", n, 1.0),
+                       lambda: report(grid, methods=("paper",), f=f, parity="even", n=n)):
+            with pytest.raises(RangeError) as exc:
+                refuse()
+            assert str(exc.value) == f"Mathieu order must be an integer, got {n}"
+    # numpy integers are taken, and kept as Python ints
+    assert type(BesselWave(k, theta, np.int64(3)).n) is int
+    assert type(MathieuWave(k, theta, np.int32(2), "even", f).n) is int
+    assert type(mathieu_eigen("odd", np.int64(3), 1.0625).n) is int  # a q no other test solves
+    assert MathieuWave(k, theta, np.int64(2), "even", f) == MathieuWave(k, theta, 2, "even", f)
 
 
 @pytest.mark.parametrize("wave", [PlaneWave(6.28, 0.3, 0.4), BesselWave(6.28, 0.3, 2),
