@@ -34,6 +34,9 @@ MAX_CHARGE = 2 ** 53  # |n| up to which float64 charge weights are exact integer
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK = 32        # grid rows per block of the ring sums
 _TILE = 2 ** 20    # floats of x-side arrays a ring sum keeps per wavenumber tile
+# the phase of (cos or sin of x) (cos or sin of y) in each quadrant of the ring, whose signs
+# (s, t) are (-,-), (+,-), (+,+), (-,+): 1, -i t, -i s and -s t, with no -0.0 part
+_PHASES = np.array([[1, 1, 1, 1], [1j, 1j, -1j, -1j], [1j, -1j, -1j, 1j], [-1, 1, -1, 1]]) + 0.0
 
 
 def ring_azimuths(m):
@@ -49,15 +52,15 @@ def check_ring_size(m):
         raise RangeError(message.format(m))
 
 
-def check_charge_window(n_min, n_max, m):
+def check_charge_window(n_min, n_max, m=None):
     """(n_min, n_max) as Python ints: a charge window must be integers, non-empty, lie within
-    |n| <= MAX_CHARGE and fit in M ring samples."""
+    |n| <= MAX_CHARGE and, given M, fit in M ring samples."""
     n_min, n_max = check_integers("charge range [{}, {}] must be integers", n_min, n_max)
     if n_max < n_min:
         raise RangeError(f"empty charge range [{n_min}, {n_max}]")
     if max(-n_min, n_max) > MAX_CHARGE:
         raise RangeError(f"charge range [{n_min}, {n_max}] exceeds |n| <= 2^53")
-    if n_max - n_min + 1 > m:
+    if m is not None and n_max - n_min + 1 > m:
         raise RangeError(f"charge range [{n_min}, {n_max}] exceeds the {m} ring samples")
     return n_min, n_max
 
@@ -119,6 +122,7 @@ class OamSpectrum(Cone):
 
     def __post_init__(self):
         super().__post_init__()
+        check_charge_window(self.n_min, self.n_max)
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.complex128))
         if self.coeffs.ndim != 1:
             raise RangeError(f"charge coefficients must be a 1-D array, got shape {self.coeffs.shape}")
@@ -134,6 +138,7 @@ class OamSpectrum(Cone):
         return np.arange(self.n_min, self.n_max + 1)
 
     def coeff(self, n):
+        (n,) = check_integers("charge {} must be an integer", n)
         if not self.n_min <= n <= self.n_max:
             raise RangeError(f"charge {n} outside stored range [{self.n_min}, {self.n_max}]")
         return complex(self.coeffs[n - self.n_min])
@@ -170,22 +175,21 @@ def _window_rows(fieldgrid, window):
 
 
 def _quarter(kt, m):
-    """Quarter-table wavenumbers, index and phase maps of the M ring azimuths.
+    """Quarter-table wavenumbers of the M ring azimuths and each azimuth's slot of the sums.
 
     With kappa_l = k_t cos(2 pi l / M) for l = 0..M/4, every ring wavevector
-    is kx_m = s_m kappa_{l_m}, ky_m = t_m kappa_{M/4 - l_m} with signs +-1,
-    so e^{-i (x kx_m + y ky_m)} = sum over a, b in (cos, sin) of
-    a(x kappa_{l_m}) b(y kappa_{M/4 - l_m}) sigma[m, a, b].  Returns kappa,
-    the index l (M,) and sigma (M, 2, 2); the adjoint kernel uses conj(sigma).
+    is kx_m = s kappa_{l_m}, ky_m = t kappa_{M/4 - l_m}, where the signs
+    (s, t) are (-,-), (+,-), (+,+), (-,+) in the quadrants 0..3 of the
+    azimuths, so e^{-i (x kx_m + y ky_m)} = sum over a, b in (cos, sin) of
+    a(x kappa_{l_m}) b(y kappa_{M/4 - l_m}) _PHASES[2 a + b, quadrant_m].
+    No two azimuths share l_m and a quadrant: returns kappa and the slots
+    4 l_m + quadrant_m (M,) of a table of sums per wavenumber and quadrant.
     """
     q = m // 4
     j = np.arange(m)
     u = j % (2 * q)
-    index = np.minimum(u, 2 * q - u)
-    s = np.where((j <= q) | (j > 3 * q), -1.0, 1.0)
-    t = np.where(j <= 2 * q, -1.0, 1.0)
-    sigma = np.stack([np.ones(m), -1j * t, -1j * s, -s * t], axis=1).reshape(m, 2, 2)
-    return kt * np.cos(0.5 * math.pi * np.arange(q + 1) / q), index, sigma
+    quadrant = np.maximum(j - 1, 0) // q    # j in (k q, (k + 1) q], and j = 0 in quadrant 0
+    return kt * np.cos(0.5 * math.pi * np.arange(q + 1) / q), 4 * np.minimum(u, 2 * q - u) + quadrant
 
 
 def _tables(coords, kappa, buf):
@@ -218,12 +222,16 @@ def _blocks(x, y, kappa, width):
 
 
 def _product(a, b, out=None):
-    """a @ b, into out if given, with b's columns past its last multiple of 8 in a product
-    of their own: OpenBLAS gives those of a whole product other bits at another thread count."""
+    """a @ b, into out if given, in products whose bits OpenBLAS keeps at every thread count:
+    b's columns past its last multiple of 8 go in a product of their own, and so do b's rows
+    past their last multiple of 256 when it has more than 256, added last."""
     cut = b.shape[1] // 8 * 8
+    inner = len(b) if len(b) <= 256 else len(b) // 256 * 256
     out = np.empty((len(a), b.shape[1])) if out is None else out
-    np.matmul(a, b[:, :cut], out=out[:, :cut])
-    np.matmul(a, b[:, cut:], out=out[:, cut:])
+    np.matmul(a[:, :inner], b[:inner, :cut], out=out[:, :cut])
+    np.matmul(a[:, :inner], b[:inner, cut:], out=out[:, cut:])
+    if inner < len(b):
+        out += _product(a[:, inner:], b[inner:])
     return out
 
 
@@ -250,23 +258,20 @@ def ring_spectrum_from_grid(fieldgrid, m=DEFAULT_RING_SAMPLES, window="none"):
                          f"Nyquist limit {nyquist:g}; refine the sampling")
     vals = fieldgrid.values
     window_rows = _window_rows(fieldgrid, window)
-    kappa, index, sigma = _quarter(meta.kt, m)
+    kappa, slots = _quarter(meta.kt, m)
     acc = np.zeros((2, len(kappa), 2, 2))
     # a block's (windowed) real rows, then its imaginary rows
     pairs = np.empty(2 * min(fieldgrid.ny, _BLOCK) * fieldgrid.nx)
     for tile, tx, rows, ty in _blocks(fieldgrid.x(), fieldgrid.y(), kappa, 2):
         block = vals[rows]
         pair = pairs[:2 * block.size].reshape(2, *block.shape)
-        if window_rows is None:
-            pair[0], pair[1] = block.real, block.imag
-        else:
-            w = window_rows(rows)
-            np.multiply(block.real, w, out=pair[0])
-            np.multiply(block.imag, w, out=pair[1])
+        pair[0], pair[1] = block.real, block.imag
+        if window_rows is not None:
+            pair *= window_rows(rows)
         parts = _product(pair.reshape(2 * len(block), -1), tx.reshape(len(tx), -1))
         acc[:, tile] += np.einsum("pial,ibl->plab", parts.reshape(2, len(ty), 2, -1), ty)
     del tx, ty, parts  # the last tile's tables, freed before the ring is recombined
-    sums = np.einsum("mab,mab->m", (acc[0] + 1j * acc[1])[index], sigma)
+    sums = np.einsum("lp,pq->lq", (acc[0] + 1j * acc[1]).reshape(-1, 4), _PHASES).reshape(-1)[slots]
     weight = math.sqrt(math.sin(meta.theta)) * fieldgrid.dx * fieldgrid.dy
     carrier = np.exp(-1j * meta.kz * fieldgrid.z_plane)
     return RingSpectrum(meta.k, meta.theta, weight * carrier * sums)
@@ -282,10 +287,11 @@ def field_from_ring(ring, x, y, z):
     on the same quarter tables and the same tiles and row blocks of
     :func:`_blocks`, so no temporary grows with len(x) * M.
     """
-    kappa, index, sigma = _quarter(ring.kt, ring.m)
+    kappa, slots = _quarter(ring.kt, ring.m)
     scale = math.sin(ring.theta) * 2.0 * math.pi / ring.m * np.exp(1j * ring.kz * z)
-    coef = np.zeros((len(kappa), 2, 2), dtype=np.complex128)
-    np.add.at(coef, index, sigma.conj() * (scale * ring.samples)[:, None, None])
+    coef = np.zeros(4 * len(kappa), dtype=np.complex128)
+    coef[slots] = scale * ring.samples
+    coef = np.einsum("lq,pq->lp", coef.reshape(-1, 4), _PHASES.conj()).reshape(-1, 2, 2)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     out = np.empty((len(y), len(x)), dtype=np.complex128)
     pairs = out.view(np.float64)        # (ny, 2 nx): re, im interleaved

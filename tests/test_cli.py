@@ -490,18 +490,29 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     The grid route sums with numpy, not BLAS.  Ring extraction and synthesis
     keep a product's columns past a multiple of 8 in a product of their own; in
     one product those columns changed with the thread count, for the ring's x
-    product on this 512^2 grid and for the synthesis of a 333 x 517 one.
+    product on this 512^2 grid and for the synthesis of a 333 x 517 one.  Past
+    256 rows, they also keep the rows past a multiple of 256 in a product of their
+    own; in one product every column changed with the thread count, for the x
+    product of a 600-wide strip and for the first of two synthesis tiles (M =
+    2048, 682 rows) on a 512 x 16 strip at dx = 2.
     """
     root = Path(__file__).resolve().parents[1]
     field = tmp_path / "field.hwmf"
-    assert run(["gen", "--family", "bessel", "--k", K, "--theta", THETA, "--n", 3,
-                "--grid", "512,512", "--dx", 0.0625, "--out", field]) == 0
+    strip = tmp_path / "strip.hwmf"
+    for path, grid in ((field, "512,512"), (strip, "600,16")):
+        assert run(["gen", "--family", "bessel", "--k", K, "--theta", THETA, "--n", 3,
+                    "--grid", grid, "--dx", 0.0625, "--out", path]) == 0
     commands = {"gen": ["gen", "--family", "bessel", "--k", K, "--theta", THETA, "--n", 3,
                         "--grid", "333,517", "--dx", 0.0625, "--out", "odd.hwmf"],
+                "tiles": ["gen", "--family", "bessel", "--k", K, "--theta", THETA, "--n", 3,
+                          "--grid", "512,16", "--dx", 2, "--out", "tiles.hwmf"],
+                "strip": ["spectrum", "--in", strip, "--window", "hann",
+                          "--out-ring", "strip-ring.csv", "--out-oam", "strip-oam.csv"],
                 "grid": ["momenta", "--in", field, "--methods", "grid", "--f", "0.5"],
                 "spectrum": ["spectrum", "--in", field, "--window", "hann",
                              "--out-ring", "ring.csv", "--out-oam", "oam.csv"],
                 "momenta": ["momenta", "--in", field, "--methods", "spectral,grid", "--window", "hann"]}
+    files = ("odd.hwmf", "tiles.hwmf", "ring.csv", "oam.csv", "strip-ring.csv", "strip-oam.csv")
     outputs = {}
     for threads in ("1", "2"):
         work = tmp_path / threads
@@ -513,9 +524,9 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
                                        "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
             outputs[threads, name] = proc.stdout
-        for name in ("odd.hwmf", "ring.csv", "oam.csv"):
+        for name in files:
             outputs[threads, name] = (work / name).read_bytes()
-    for key in [*commands, "odd.hwmf", "ring.csv", "oam.csv"]:
+    for key in [*commands, *files]:
         assert outputs["1", key] == outputs["2", key], key
 
 

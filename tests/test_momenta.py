@@ -120,6 +120,26 @@ def test_paper_form_truncation_stability():
               @ mathieu_coeffs("odd", 1, 1.0, 60)[0] ** 2), abs=1e-8)
 
 
+@pytest.mark.parametrize("q", [0.1, 1.0, 9.0])
+def test_paper_route_is_half_the_rings_mean_absolute_charge(q):
+    # the paper's sum is <|n|>/2 = sum |n| |c_n|^2 / (2 sum |c_n|^2) of the wave's
+    # analytic ring, except for ce_2n: the ring's charge power counts A_0^2 twice
+    # (2 A_0^2 + sum A_j^2 = 1), the paper's sum once (0.1728 against 0.0945 at n = 0, q = 1)
+    theta = math.pi / 6
+    for parity, n in (("even", 3), ("even", 7), ("odd", 3), ("odd", 11), ("odd", 6), ("even", 0), ("even", 2)):
+        wave = MathieuWave(K, theta, n, parity, 2.0 * math.sqrt(q) / (K * math.sin(theta)))
+        spec = oam_spectrum(analytic_ring(wave, 1024), -200, 200)
+        power = np.abs(spec.coeffs) ** 2
+        half = float(np.abs(spec.charges()) @ power / (2.0 * power.sum()))
+        paper = oam_mathieu_paper(parity, n, q)
+        eig = mathieu_eigen(parity, n, q)
+        if eig.harmonics[0] == 0:
+            assert paper != pytest.approx(half, rel=1e-9)
+            a2 = eig.coeffs ** 2
+            paper = float(eig.harmonics / 2.0 @ a2 / (a2.sum() + a2[0]))
+        assert half == pytest.approx(paper, rel=2e-15), (parity, n)
+
+
 # ------------------------------------------------------------ grid means
 
 def test_plane_wave_py_eigenvalue():

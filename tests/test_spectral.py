@@ -289,9 +289,9 @@ def test_any_array_layout_is_accepted():
 
 def test_ring_tables_are_freed_before_the_ring_is_recombined():
     # M = 65536 on a 512 x 16 strip: each tile's x table takes 8 MiB, and the
-    # recombination holds the (M, 2, 2) complex sign map and the gathered sums, 4 MiB
-    # each; with the last tile's tables freed first the peak is 15.1 MiB (19.1 MiB
-    # while they were held through the recombination)
+    # recombination holds the (M/4 + 1, 4) complex sums per quadrant, their phased
+    # copy and the M gathered samples, 1 MiB each; with the last tile's tables freed
+    # first the peak is 11.1 MiB (15.1 MiB with an (M, 2, 2) complex sign map)
     rng = np.random.default_rng(3)
     values = rng.standard_normal((16, 512)) + 1j * rng.standard_normal((16, 512))
     g = FieldGrid(512, 16, 0.05, 0.05, None, None, values, Cone(K, 0.3))
@@ -301,7 +301,31 @@ def test_ring_tables_are_freed_before_the_ring_is_recombined():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 512 * 2 * 1024 * 8 + 65536 * 4 * 16 + 3.5 * 2 ** 20
+    assert peak <= 512 * 2 * 1024 * 8 + 3.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("m", [2 ** e for e in range(8, 17)])
+def test_each_ring_azimuth_has_its_own_slot(m):
+    # the slots 4 l + quadrant are one to one, so synthesis scatters and adds nothing
+    kappa, slots = spectral._quarter(K, m)
+    assert len(np.unique(slots)) == m
+    assert 0 <= slots.min() and slots.max() < 4 * len(kappa) == 4 * (m // 4 + 1)
+
+
+def test_synthesis_peak_at_the_largest_ring():
+    # M = 65536 on a 512 x 16 strip: a tile of 341 wavenumbers keeps a 2.7 MiB x table
+    # and a 5.3 MiB complex x half of the kernel, two of which coexist while the next
+    # tile's is made; 15.2 MiB measured (19.2 MiB with an (M, 2, 2) complex sign map
+    # and np.add.at)
+    ring = analytic_ring(BesselWave(K, 0.3, 3), 65536)
+    x, y = np.linspace(-30.0, 30.0, 512), np.linspace(-30.0, 30.0, 16)
+    tracemalloc.start()
+    try:
+        spectral.field_from_ring(ring, x, y, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 2 * 341 * 8 + 2 * (2 * 341 * 512 * 16) + 2.5 * 2 ** 20
 
 
 def test_ring_sizes_and_charge_windows_are_integers():
@@ -313,6 +337,8 @@ def test_ring_sizes_and_charge_windows_are_integers():
         (lambda: analytic_ring(BesselWave(K, 0.3, 1), 1024.0), size),
         (lambda: oam_spectrum(ring, -3.0, 3.0), "charge range [-3.0, 3.0] must be integers"),
         (lambda: spectral.check_charge_window(-3, 3.5, 256), "charge range [-3, 3.5] must be integers"),
+        (lambda: oam_spectrum(ring, -3, 3).coeff(2.0), "charge 2.0 must be an integer"),
+        (lambda: oam_spectrum(ring, -3, 3).coeff(1.5), "charge 1.5 must be an integer"),
     ]:
         with pytest.raises(RangeError) as exc:
             refuse()
@@ -350,7 +376,9 @@ def test_off_cone_spectra_are_refused(k, theta, message):
     (lambda: OamSpectrum(K, 0.3, 0, 1, np.ones((2, 2))),
      "charge coefficients must be a 1-D array, got shape (2, 2)"),
     (lambda: OamSpectrum(K, 0.3, 0, 0, 1.0), "charge coefficients must be a 1-D array, got shape ()"),
-], ids=["nan", "inf", "count", "ring-2d", "oam-2d", "oam-0d"])
+    (lambda: OamSpectrum(K, 0.3, 2.5, 4.5, np.ones(3)), "charge range [2.5, 4.5] must be integers"),
+    (lambda: OamSpectrum(K, 0.3, 0, -1, np.ones(0)), "empty charge range [0, -1]"),
+], ids=["nan", "inf", "count", "ring-2d", "oam-2d", "oam-0d", "oam-float", "oam-empty"])
 def test_spectrum_contents_are_checked(build, message):
     with pytest.raises(RangeError) as exc:
         build()
