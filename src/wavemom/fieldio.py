@@ -22,7 +22,8 @@ from .waves import FieldGrid
 
 MAGIC = "HWMF1"
 _HEADER_LIMIT = 1 << 16
-_CHUNK = 1 << 16  # bytes per read of a payload's tail
+_CHUNK = 1 << 16  # bytes per read of a payload's tail, or of a CSV file whose lines are counted
+_ROWS = 1 << 14   # CSV rows per numpy parse call, and per block of their lattice indices
 
 
 def write_field(fieldgrid, path):
@@ -161,12 +162,23 @@ def write_field_csv(fieldgrid, path):
     _write_csv(path, "x,y,re,im", blocks)
 
 
+def _distinct(values):
+    """np.unique(values) of a 1-D float array, by the same sort.  numpy 2 imports numpy.ma
+    on the first call of np.unique or np.median, which nothing else on the CSV path does
+    (12-19 ms and 0.6 MB per command on a 2-vCPU VM)."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def _lattice_axis(coords, path, name):
-    axis = np.unique(coords)
+    # the distinct values of each _ROWS rows, then of those: no copy of the whole column
+    axis = _distinct(np.concatenate([_distinct(coords[start:start + _ROWS])
+                                     for start in range(0, len(coords), _ROWS)]))
     if len(axis) < 2:
         raise FormatError(f"{path}: {name} axis has fewer than two distinct values")
     steps = np.diff(axis)
-    step = np.median(steps)
+    middle = np.sort(steps)[(len(steps) - 1) // 2:len(steps) // 2 + 1]
+    step = middle.sum() / len(middle)  # np.median(steps), bit for bit
     if step <= 0 or np.any(np.abs(steps - step) > 1e-9 * max(step, 1.0)):
         raise FormatError(f"{path}: {name} coordinates are not uniformly spaced")
     return axis, float(step)
@@ -178,9 +190,10 @@ def _scan_rows(path):
     This is the reference parser: it runs whenever the bulk parse refuses
     the file or finds a non-finite value, and it accepts every input that
     Python's float() does (blank and whitespace-only lines are skipped).
+    The rows come back as :func:`_load_rows` returns them.
     """
     rows, linenos = [], []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -201,42 +214,103 @@ def _scan_rows(path):
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise FormatError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
-    return data
+    return data[:, :2].T, data.view(np.complex128)[:, 1]
 
 
-def _loadtxt(source, skiprows):
-    """numpy's bulk parse of x,y,re,im rows from a path or an iterable of lines."""
+def _count_newlines(path):
+    """The number of \\n bytes in a file, counted _CHUNK bytes at a time."""
+    buf = np.empty(_CHUNK, dtype=np.uint8)
+    count = 0
+    with open(path, "rb") as fh:
+        while got := fh.readinto(buf):
+            count += int(np.count_nonzero(buf[:got] == ord("\n")))
+    return count
+
+
+def _parse(lines, coords, values):
+    """numpy's bulk parse of x,y,re,im lines, _ROWS rows per call, each call resuming at the
+    line after the last row read, into coords[:, i] = (x, y) and values[i] = re + i im.
+    Returns the row count, or None when numpy refuses a line (a ragged row, a bad token, a
+    whitespace-only line) or there is no row, or a chunk has other than 4 columns, a
+    non-finite value or rows past the arrays' end."""
+    n = 0
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file with no rows
-        return np.loadtxt(source, delimiter=",", comments=None, ndmin=2,
-                          skiprows=skiprows, encoding="utf-8")
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns when no rows are left
+        try:
+            while len(rows := np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                                         max_rows=_ROWS)):
+                end = n + len(rows)
+                if rows.shape[1] != 4 or end > len(values) or not np.isfinite(rows).all():
+                    return None
+                coords[:, n:end] = rows[:, :2].T
+                values[n:end] = rows.view(np.complex128)[:, 1]
+                n = end
+                del rows  # before the next chunk is parsed
+        except ValueError:
+            return None
+    return n or None
 
 
 def _load_rows(path):
-    """All data rows as an (n, 4) float array, parsed in one numpy pass when possible."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        header = int(fh.readline().split(",")[0].strip().lower() == "x")
-        fh.seek(0)
-        try:
-            data = _loadtxt(path, header)
-        except ValueError:  # ragged rows, bad tokens, whitespace-only lines, invalid UTF-8
-            data = None
-            # loadtxt skips empty lines but refuses whitespace-only ones, which
-            # the format skips too; only a file that has one is parsed again
+    """The data rows in file order, as a (2, n) array of x, y and an (n,) complex array of
+    re + i im, parsed by numpy when possible.  The arrays are sized by the file's line
+    ends, so a file whose lines end in a lone \\r is read by the row loop."""
+    size = _count_newlines(path) + 1
+    coords, values = np.empty((2, size)), np.empty(size, dtype=np.complex128)
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
+        header = fh.readline().split(",")[0].strip().lower() == "x"
+        if not header:
+            fh.seek(0)
+        n = _parse(fh, coords, values)
+        # loadtxt skips empty lines but refuses whitespace-only ones, which
+        # the format skips too; only a file that has one is parsed again
+        if n is None:
+            fh.seek(0)
             if any(line.isspace() and line != "\n" for line in fh):
                 fh.seek(0)
-                try:
-                    data = _loadtxt((line for line in fh if not line.isspace()), header)
-                except ValueError:
-                    pass
-    if data is None or data.shape[0] == 0 or data.shape[1] != 4 or not np.isfinite(data).all():
+                lines = (line for line in fh if not line.isspace())
+                if header:
+                    next(lines)
+                n = _parse(lines, coords, values)
+    if n is None:
         return _scan_rows(path)  # names the first bad line or non-finite value
-    return data
+    return coords[:, :n], values[:n]
 
 
 def _first(mask):
     """Index of the first True entry of a boolean array, or None."""
     return int(np.argmax(mask)) if mask.any() else None
+
+
+def _node_indices(coords, xs, dx, ys, dy):
+    """Each row's flat node index i * nx + j, and the first row off the lattice or None.
+
+    _ROWS rows at a time, one buffer holds each axis's node index
+    rint((c - c0) / step) and then the row's distance |c0 + index * step - c|
+    from that node, y before x.  Clipping moves only rows already off the
+    lattice, and lets every index cast to an integer.
+    """
+    nx, ny = len(xs), len(ys)
+    flat = np.zeros(coords.shape[1], dtype=np.int32 if nx * ny < 2 ** 31 else np.intp)
+    bad = None
+    for start in range(0, len(flat), _ROWS):
+        x, y = coords[:, start:start + _ROWS]
+        part = flat[start:start + _ROWS]
+        off = np.zeros(len(part), dtype=bool)
+        buf = np.empty(len(part))
+        for c, c0, step, count in ((y, ys[0], dy, ny), (x, xs[0], dx, nx)):
+            np.rint(np.divide(np.subtract(c, c0, out=buf), step, out=buf), out=buf)
+            off |= buf < 0
+            off |= buf >= count
+            np.clip(buf, 0, count - 1, out=buf)
+            part *= count
+            np.add(part, buf, out=part, dtype=part.dtype, casting="unsafe")
+            np.abs(np.subtract(np.add(c0, np.multiply(buf, step, out=buf), out=buf), c, out=buf),
+                   out=buf)
+            off |= buf > 1e-6 * step
+        if bad is None and off.any():
+            bad = start + _first(off)
+    return flat, bad
 
 
 def read_field_csv(path, k, theta):
@@ -249,41 +323,19 @@ def read_field_csv(path, k, theta):
     RangeError) before the file is read.
     """
     cone = Cone(k, theta)
-    data = _load_rows(path)
-    x, y = data[:, 0], data[:, 1]
-    xs, dx = _lattice_axis(x, path, "x")
-    ys, dy = _lattice_axis(y, path, "y")
+    coords, values = _load_rows(path)
+    xs, dx = _lattice_axis(coords[0], path, "x")
+    ys, dy = _lattice_axis(coords[1], path, "y")
     nx, ny = len(xs), len(ys)
-
-    # One buffer holds each axis's node index rint((c - c0) / step) and then
-    # the row's distance |c0 + index * step - c| from that node, y before x,
-    # so that flat gathers i * nx + j.  Clipping moves only rows already off
-    # the lattice, and lets every index cast to an integer.
-    n = len(data)
-    flat = np.zeros(n, dtype=np.intp)
-    off = np.zeros(n, dtype=bool)
-    buf = np.empty(n)
-    for c, c0, step, count in ((y, ys[0], dy, ny), (x, xs[0], dx, nx)):
-        np.rint(np.divide(np.subtract(c, c0, out=buf), step, out=buf), out=buf)
-        off |= buf < 0
-        off |= buf >= count
-        np.clip(buf, 0, count - 1, out=buf)
-        flat *= count
-        np.add(flat, buf, out=flat, dtype=np.intp, casting="unsafe")
-        np.abs(np.subtract(np.add(c0, np.multiply(buf, step, out=buf), out=buf), c, out=buf),
-               out=buf)
-        off |= buf > 1e-6 * step
-    del buf
-    bad = _first(off)
-    del off
-    end = n if bad is None else bad  # rows before the first off-lattice one
-    flat = flat[:end]
+    flat, bad = _node_indices(coords, xs, dx, ys, dy)
+    x, y = coords
+    end = len(flat) if bad is None else bad  # rows before the first off-lattice one
     # sorting, unlike counting per node, needs no nx*ny array for a lattice
     # that the rows cannot fill (a diagonal of n rows infers an n x n grid)
-    nodes = np.sort(flat)
+    nodes = np.sort(flat[:end])
     if np.any(nodes[1:] == nodes[:-1]):  # a repeat before the first off-lattice row comes first
         repeat = np.ones(end, dtype=bool)
-        repeat[np.unique(flat, return_index=True)[1]] = False
+        repeat[np.unique(flat[:end], return_index=True)[1]] = False
         bad = _first(repeat)
         raise FormatError(f"{path}: duplicate node at ({float(x[bad]):g}, {float(y[bad]):g})")
     if bad is not None:
@@ -296,12 +348,11 @@ def read_field_csv(path, k, theta):
             f"{path}: incomplete lattice, first missing node at "
             f"({xs[0] + j * dx:g}, {ys[0] + i * dy:g})"
         )
-    del nodes
-    # each row's (re, im) pair, read in place as one complex, is placed bit for bit
-    values = np.empty((ny, nx), dtype=np.complex128)
-    values.reshape(-1)[flat] = data.view(np.complex128)[:, 1]
+    del nodes, coords, x, y  # the coordinates go before the field is made
+    field = np.empty((ny, nx), dtype=np.complex128)
+    field.reshape(-1)[flat] = values  # each row's (re, im) pair, placed bit for bit
     try:  # the values are checked above, so only the inferred geometry can fail here
-        return FieldGrid(nx, ny, dx, dy, xs[0], ys[0], values, cone)
+        return FieldGrid(nx, ny, dx, dy, xs[0], ys[0], field, cone)
     except RangeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

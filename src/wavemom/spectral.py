@@ -297,8 +297,12 @@ def field_from_ring(ring, x, y, z):
     pairs = out.view(np.float64)        # (ny, 2 nx): re, im interleaved
     for tile, tx, rows, ty in _blocks(x, y, kappa, 6):
         if rows.start == 0:
+            size = 2 * tx.shape[2] * len(x)
+            if tile.start == 0:         # the first tile is the widest: one buffer serves them all
+                w_buf = np.empty(size, dtype=np.complex128)
             # w[b, l, j] = sum_a coef[l, a, b] a(x_j kappa_l): the x half of the kernel
-            w = np.einsum("lab,jal->blj", coef[tile], tx, order="C").reshape(-1, len(x)).view(np.float64)
+            w = np.einsum("lab,jal->blj", coef[tile], tx, out=w_buf[:size].reshape(2, -1, len(x)))
+            w = w.reshape(-1, len(x)).view(np.float64)
         if tile.start == 0:
             _product(ty.reshape(len(ty), -1), w, out=pairs[rows])
         else:                           # later wavenumber tiles add

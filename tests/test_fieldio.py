@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from wavemom import fieldio
 from wavemom.errors import FormatError
 from wavemom.fieldio import (
     read_field,
@@ -315,7 +318,8 @@ def _read_error(path):
     return str(exc.value)
 
 
-@pytest.mark.parametrize("variant", ["blank", "whitespace", "crlf", "no-header"])
+@pytest.mark.parametrize("variant", ["blank", "whitespace", "crlf", "cr", "no-header", "bom",
+                                     "bom-no-header"])
 def test_csv_accepted_layouts(tmp_path, variant):
     g, path, lines = _csv_lines(tmp_path)
     if variant == "blank":
@@ -323,10 +327,12 @@ def test_csv_accepted_layouts(tmp_path, variant):
         lines.append("")
     elif variant == "whitespace":
         lines[5:5] = ["   ", "\t \t"]
-    elif variant == "no-header":
+    elif variant.endswith("no-header"):
         lines = lines[1:]  # the first row is then data, not a header
-    newline = "\r\n" if variant == "crlf" else "\n"
-    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+    newline = {"crlf": "\r\n", "cr": "\r"}.get(variant, "\n")
+    # spreadsheet tools start a UTF-8 CSV with a byte-order mark
+    bom = b"\xef\xbb\xbf" if variant.startswith("bom") else b""
+    path.write_bytes(bom + (newline.join(lines) + newline).encode("utf-8"))
     back = read_field_csv(path, 2.0, 0.7)
     assert back.values.tobytes() == g.values.tobytes()
     assert (back.nx, back.ny) == (g.nx, g.ny)
@@ -356,6 +362,27 @@ def test_csv_reader_matches_row_loop(tmp_path):
     back = read_field_csv(path, 2.0, 0.7)
     values, dx, dy, x0, y0 = _reference_read(path)
     assert back.values.tobytes() == values.tobytes()
+    assert (back.dx, back.dy, back.x0, back.y0) == (dx, dy, x0, y0)
+
+
+def _lattice_of(rows):
+    """(nx, ny) of a lattice of the given number of rows, both at least 16."""
+    ny = max(d for d in range(16, math.isqrt(rows) + 1) if rows % d == 0)
+    return rows // ny, ny
+
+
+@pytest.mark.parametrize("chunks,extra", [(1, -1), (1, 0), (1, 1), (4, 128)],
+                         ids=["R-1", "R", "R+1", "4R+128"])
+def test_csv_chunks_match_row_loop(tmp_path, chunks, extra):
+    # the bulk parse reads _ROWS rows at a time: a lattice just short of, at and
+    # past one chunk, and one of five chunks, read as the row loop places them
+    nx, ny = _lattice_of(chunks * fieldio._ROWS + extra)
+    g, path, lines = _csv_lines(tmp_path, seed=11, nx=nx, ny=ny)
+    order = np.random.default_rng(3).permutation(len(lines) - 1)
+    path.write_text("\n".join(lines[:1] + [lines[i + 1] for i in order]) + "\n")
+    back = read_field_csv(path, 2.0, 0.7)
+    values, dx, dy, x0, y0 = _reference_read(path)
+    assert back.values.tobytes() == values.tobytes() == g.values.tobytes()
     assert (back.dx, back.dy, back.x0, back.y0) == (dx, dy, x0, y0)
 
 
@@ -404,6 +431,37 @@ def test_csv_junk_token_names_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     assert _read_error(path) == \
         f"{path}:7: unparseable number: could not convert string to float: 'x'"
+
+
+@pytest.mark.parametrize("case", ["ragged-last", "ragged-first", "ragged-alone", "junk",
+                                  "non-finite", "blank", "whitespace"])
+def test_csv_errors_past_the_first_chunk(tmp_path, case):
+    # the row loop names the line whichever chunk of the bulk parse refused it
+    r = fieldio._ROWS
+    _, path, lines = _csv_lines(tmp_path, nx=64, ny=2 * r // 64)
+    first = r + 1  # lines[first] is the second chunk's first row, file line first + 1
+    x, y, re, im = lines[first + 5].split(",")
+    if case == "ragged-last":  # the first chunk's last row
+        lines[first - 1] = lines[first - 1].rsplit(",", 1)[0]
+        expected = f"{first}: expected 4 columns, got 3"
+    elif case == "ragged-first":
+        lines[first] = lines[first].rsplit(",", 1)[0]
+        expected = f"{first + 1}: expected 4 columns, got 3"
+    elif case == "ragged-alone":  # a third chunk of one row, which loadtxt reads as 3 columns
+        lines.append("0,0,1")
+        expected = f"{len(lines)}: expected 4 columns, got 3"
+    elif case == "junk":
+        lines[first + 5] = f"{x},{y},x,{im}"
+        expected = f"{first + 6}: unparseable number: could not convert string to float: 'x'"
+    elif case == "non-finite":
+        lines[first + 5] = f"{x},{y},{re},inf"
+        expected = f"{first + 6}: non-finite value"
+    else:  # a skipped line on the boundary moves the later line numbers
+        lines[first + 5] = f"{x},{y},{re},inf"
+        lines.insert(first, "" if case == "blank" else " \t ")
+        expected = f"{first + 7}: non-finite value"
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_error(path) == f"{path}:{expected}"
 
 
 def test_csv_comment_lines_rejected(tmp_path):
@@ -460,11 +518,28 @@ def test_csv_sparse_lattice_memory(tmp_path):
     assert peak < 8 << 20
 
 
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy 1 imports numpy.ma eagerly")
+def test_csv_read_does_not_import_numpy_ma(tmp_path):
+    # numpy 2 imports numpy.ma on the first np.unique or np.median call (12-19 ms and
+    # 0.6 MB per command on a 2-vCPU VM); the reader calls neither
+    _, path, _ = _csv_lines(tmp_path)
+    script = ("import sys; from wavemom import read_field_csv; "
+              f"read_field_csv({str(path)!r}, 2.0, 0.7); print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.stdout == "False\n", proc.stderr
+
+
 @pytest.mark.parametrize("whitespace_line", [False, True])
 def test_csv_read_working_memory(tmp_path, whitespace_line):
-    # the rows (2x the field) plus the field plus one index array; a
-    # whitespace-only line still takes numpy's bulk parse, not the row loop
-    g, path, lines = _csv_lines(tmp_path, nx=256, ny=256)
+    # the rows' coordinates (1x the field) and values (1x), parsed a chunk at a
+    # time, then an int32 node index (0.25x) and its sorted copy (0.25x) while
+    # the lattice is checked; the coordinates go before the field (1x) is made.
+    # 2.57x measured on 7 chunks (3.57x on 256^2 while numpy parsed one (n, 4)
+    # array of rows); a whitespace-only line still takes numpy's bulk parse, not
+    # the row loop
+    g, path, lines = _csv_lines(tmp_path, nx=320, ny=320)
+    assert len(lines) - 1 >= 4 * fieldio._ROWS
     body = [lines[i + 1] for i in np.random.default_rng(2).permutation(len(lines) - 1)]
     if whitespace_line:
         body.insert(len(body) // 2, " \t ")
@@ -476,7 +551,7 @@ def test_csv_read_working_memory(tmp_path, whitespace_line):
     finally:
         tracemalloc.stop()
     assert back.values.tobytes() == g.values.tobytes()
-    assert peak <= 4.0 * g.values.nbytes
+    assert peak <= 2.6 * g.values.nbytes
 
 
 def test_csv_non_finite_after_blank_lines(tmp_path):

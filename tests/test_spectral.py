@@ -314,9 +314,9 @@ def test_each_ring_azimuth_has_its_own_slot(m):
 
 def test_synthesis_peak_at_the_largest_ring():
     # M = 65536 on a 512 x 16 strip: a tile of 341 wavenumbers keeps a 2.7 MiB x table
-    # and a 5.3 MiB complex x half of the kernel, two of which coexist while the next
-    # tile's is made; 15.2 MiB measured (19.2 MiB with an (M, 2, 2) complex sign map
-    # and np.add.at)
+    # and a 5.3 MiB complex x half of the kernel, which every tile writes into one
+    # buffer; 10.1 MiB measured (15.2 MiB when each tile's x half was a new array made
+    # while the last one was still held)
     ring = analytic_ring(BesselWave(K, 0.3, 3), 65536)
     x, y = np.linspace(-30.0, 30.0, 512), np.linspace(-30.0, 30.0, 16)
     tracemalloc.start()
@@ -325,7 +325,7 @@ def test_synthesis_peak_at_the_largest_ring():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 512 * 2 * 341 * 8 + 2 * (2 * 341 * 512 * 16) + 2.5 * 2 ** 20
+    assert peak <= 512 * 2 * 341 * 8 + 2 * 341 * 512 * 16 + 2.5 * 2 ** 20
 
 
 def test_ring_sizes_and_charge_windows_are_integers():
