@@ -222,6 +222,8 @@ def _count_newlines(path):
     buf = np.empty(_CHUNK, dtype=np.uint8)
     count = 0
     with open(path, "rb") as fh:
+        if not fh.seekable():  # the reader's first pass: a pipe could not be passed over again
+            raise FormatError(f"{path}: CSV input must be a seekable file, as it is read more than once")
         while got := fh.readinto(buf):
             count += int(np.count_nonzero(buf[:got] == ord("\n")))
     return count

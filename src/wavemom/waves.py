@@ -29,6 +29,7 @@ from .specfun.mathieu import (
     check_radial_range,
     mathieu_ce,
     mathieu_ce_radial,
+    mathieu_eigen,
     mathieu_norm_constant,
     mathieu_se,
     mathieu_se_radial,
@@ -38,8 +39,8 @@ from .specfun.mathieu import (
 _BELOW_PI = math.nextafter(math.pi, 0.0)
 _ABOVE_ZERO = math.ulp(0.0)
 MAX_SAMPLES = 2 ** 26  # nx * ny: 1 GiB of complex128 samples
-_ALIASING = 1e-16  # bound on the ring-sum aliasing of a synthesised Bessel grid
-_ROWS = 32  # grid rows per block of MathieuWave.sample
+_ALIASING = 1e-16  # bound on the ring-sum aliasing of a synthesised grid
+_ROWS = 32  # grid rows per block of MathieuWave.sample's radial-range check
 _SLAB = 2 ** 16  # floats per slab of FieldGrid's finiteness check, so no bool array spans the grid
 
 
@@ -109,27 +110,11 @@ class BesselWave(Cone):
         return np.exp(1j * self.n * phi) / math.sqrt(2.0 * math.pi * math.sin(self.theta))
 
     def sample(self, x, y, z):
-        """The field i^n sqrt(2 pi sin theta) J_n(k_t r) e^{i (n phi + k_z z)} on a grid.
-
-        It is synthesised from the ring profile by ``spectral.field_from_ring``.
-        The ring's M samples alias J_n(z) with J_{M-|n|}(z) and weaker terms,
-        so M is the smallest power of two >= 256 with nu = M - |n| >= 1 whose
-        bound 2 (z/2)^nu / nu! on those terms is <= 1e-16, for z the largest
-        k_t r on the grid.  A wave that even M = MAX_RING_SAMPLES does not
-        cover is refused before any table is built.
-        """
+        """The field i^n sqrt(2 pi sin theta) J_n(k_t r) e^{i (n phi + k_z z)} on a grid, synthesised
+        from the ring profile by ``spectral.field_from_ring`` on M from :func:`_ring_size`."""
         x, y = _axis(x), _axis(y)
-        z_max = self.kt * float(np.hypot(np.abs(x).max(), np.abs(y).max()))
-        m = 256
-        while True:
-            nu = m - abs(self.n)
-            if nu >= 1 and (z_max == 0.0 or math.log(2.0) + nu * math.log(z_max / 2.0)
-                            - math.lgamma(nu + 1) <= math.log(_ALIASING)):
-                return field_from_ring(analytic_ring(self, m), x, y, z)
-            if m == MAX_RING_SAMPLES:
-                raise RangeError(f"Bessel order {self.n} at k_t r = {z_max:.6g} needs more "
-                                 f"than {MAX_RING_SAMPLES} ring samples")
-            m *= 2
+        m = _ring_size(self, x, y, [abs(self.n)], [1.0], f"Bessel order {self.n}")
+        return field_from_ring(analytic_ring(self, m), x, y, z)
 
 
 @dataclass(frozen=True)
@@ -158,44 +143,32 @@ class MathieuWave(Cone):
     def sample(self, x, y, z):
         """sqrt(sin theta) c_n Ce_n(xi) ce_n(eta) e^{i k_z z}, or the s_n Se_n se_n odd form, on a grid.
 
-        Points are mapped through :func:`elliptic_coords` _ROWS grid rows at
-        a time, so the temporaries are the size of one block.  The result is
-        continuous across the inter-foci segment because the angular and
-        radial factors are jointly even (even parity) or jointly odd (odd
-        parity) under the eta branch flip there.
-
-        xi grows with |x| and with |y|, so the grid's largest xi lies at its
-        largest |x| and |y|; every block sums the radial terms chosen for
-        that xi, as a single call on the whole grid would choose them.  When
-        it is beyond the radial range, every block is checked before any is
-        evaluated, so the RangeError names the first offending sample by its
-        grid index (a block summed with terms chosen for that xi could first
-        refuse with an overflow).
+        It is (-i)^(n mod 2) c_n^2 / (2 sqrt(pi)) times the ring profile's synthesis (the Whittaker
+        integral of ce_n or se_n) on M from :func:`_ring_size`.  The domain is the closed form's: a
+        grid whose largest xi (at its largest |x| and |y|) is beyond the radial range is checked in
+        blocks of _ROWS rows, naming the first offending sample; then the norm constant and the
+        radial series at that xi may refuse.
         """
         x, y = _axis(x), _axis(y)
         q = self.q
-        far_x, far_y = (np.unique(a[np.abs(a) == np.abs(a).max()]) for a in (x, y))
+        far_x, far_y = (a[np.abs(a) == np.abs(a).max()] for a in (x, y))  # at most two values each
         reach = float(elliptic_coords(far_x, far_y[:, None], self.f)[0].max())
         if reach > radial_xi_max(q):
             for i0 in range(0, len(y), _ROWS):
                 check_radial_range(q, elliptic_coords(x, y[i0:i0 + _ROWS, None], self.f)[0], i0)
-        radial = mathieu_ce_radial if self.parity == "even" else mathieu_se_radial
-        scale = math.sqrt(math.sin(self.theta)) * mathieu_norm_constant(self.parity, self.n, q)
-        carrier = np.exp(1j * self.kz * np.asarray(z, dtype=float))
-        out = np.empty((len(y), len(x)), dtype=np.complex128)
-        for i0 in range(0, len(y), _ROWS):
-            xi, eta = elliptic_coords(x, y[i0:i0 + _ROWS, None], self.f)
-            out[i0:i0 + _ROWS] = scale * radial(self.n, q, xi, reach) * self._angular(eta) * carrier
-            del xi, eta  # so one block's coordinates are freed before the next block's are built
+        c = mathieu_norm_constant(self.parity, self.n, q)
+        (mathieu_ce_radial if self.parity == "even" else mathieu_se_radial)(self.n, q, reach)
+        eig = mathieu_eigen(self.parity, self.n, q)
+        m = _ring_size(self, x, y, eig.harmonics.tolist(), np.abs(eig.coeffs).tolist(),
+                       f"Mathieu {self.parity} order {self.n}")
+        out = field_from_ring(analytic_ring(self, m), x, y, z)
+        out *= c * c / (2.0 * math.sqrt(math.pi)) * (-1j if self.n % 2 else 1.0)
         return out
 
     def ring_profile(self, phi):
         """(pi sin theta)^{-1/2} ce_n(phi; q), or se_n for odd parity."""
-        return self._angular(phi).astype(np.complex128) / math.sqrt(math.pi * math.sin(self.theta))
-
-    def _angular(self, u):
         angular = mathieu_ce if self.parity == "even" else mathieu_se
-        return angular(self.n, self.q, u)
+        return angular(self.n, self.q, phi).astype(np.complex128) / math.sqrt(math.pi * math.sin(self.theta))
 
 
 # family name -> (class, labels the name fixes)
@@ -310,6 +283,27 @@ class FieldGrid:
 def _axis(values):
     """A grid axis given as any sequence, as a flat float array."""
     return np.asarray(values, dtype=float).ravel()
+
+
+def _ring_size(cone, x, y, harmonics, weights, what):
+    """The ring size M that synthesises a profile of harmonics h_j and weights |A_j| on the grid of axes x, y.
+
+    With z the grid's largest k_t r, M ring samples alias each J_h(z) with J_{M-h}(z) and weaker terms,
+    bounded by 2 (z/2)^nu / nu! for nu = M - h >= 1 and by 2 (|J| <= 1) otherwise.  M is the smallest
+    power of two >= 256 whose weighted sum of these bounds is <= _ALIASING; a profile that even M =
+    MAX_RING_SAMPLES does not cover is a RangeError naming ``what`` and z, before any table is built.
+    """
+    z = cone.kt * float(np.hypot(np.abs(x).max(), np.abs(y).max()))
+    m = 256
+    while m <= MAX_RING_SAMPLES:
+        logs = [math.log(2.0 * w) + (m - h) * math.log(z / 2.0) - math.lgamma(m - h + 1)
+                if m - h >= 1 else math.log(2.0 * w)
+                for h, w in zip(harmonics, weights) if w > 0.0 and (m - h < 1 or z > 0.0)]
+        if not logs or (top := max(logs)) + math.log(sum(math.exp(t - top) for t in logs)) \
+                <= math.log(_ALIASING):
+            return m
+        m *= 2
+    raise RangeError(f"{what} at k_t r = {z:.6g} needs more than {MAX_RING_SAMPLES} ring samples")
 
 
 def elliptic_coords(x, y, f):

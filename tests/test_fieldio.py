@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavemom import fieldio
+from wavemom import cli, fieldio
 from wavemom.errors import FormatError
 from wavemom.fieldio import (
     read_field,
@@ -142,6 +142,39 @@ def test_read_field_through_a_pipe(tmp_path, tail):
         assert str(from_pipe.value) == str(from_file.value).replace(str(path), str(fifo))
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need a POSIX system")
+def test_csv_through_a_pipe_is_refused_by_name(tmp_path, capsys):
+    # the CSV reader passes over its file more than once; a pipe was refused with
+    # "underlying stream is not seekable", which did not say which input or why
+    g = random_grid(nx=16, ny=16)
+    path = tmp_path / "field.csv"
+    write_field_csv(g, path)
+    message = "CSV input must be a seekable file, as it is read more than once"
+
+    def within_10_s(call):
+        # a reader that opened the pipe a second time would wait for a writer for ever
+        result = []
+        reader = threading.Thread(target=lambda: result.append(call()), daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "the reader is blocked on the pipe"
+        return result[0]
+
+    fifo, thread = _fifo(tmp_path, path.read_bytes())
+    error = within_10_s(lambda: pytest.raises(FormatError, read_field_csv, fifo, 2.0, 0.7))
+    assert str(error.value) == f"{fifo}: {message}"
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    fifo.unlink()
+    fifo, thread = _fifo(tmp_path, path.read_bytes())
+    rc = within_10_s(lambda: cli.main(["momenta", "--in", str(fifo), "--in-format", "csv",
+                                       "--k", "2.0", "--theta", "0.7"]))
+    assert rc == 3 and capsys.readouterr().err == f"error: {fifo}: {message}\n"
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert read_field_csv(path, 2.0, 0.7).values.tobytes() == g.values.tobytes()  # a file still reads
 
 
 def test_long_tail_is_counted_in_chunks(tmp_path):

@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wavemom import spectral, waves
-from wavemom.errors import RangeError
+from wavemom.errors import DomainError, RangeError
 from wavemom.fieldio import read_field, write_field
 from wavemom.momenta import grid_mean, report
 from wavemom.specfun.mathieu import (
@@ -16,6 +19,8 @@ from wavemom.specfun.mathieu import (
     mathieu_ce_radial,
     mathieu_eigen,
     mathieu_norm_constant,
+    mathieu_se,
+    mathieu_se_radial,
     radial_xi_max,
 )
 from wavemom.waves import (
@@ -389,7 +394,8 @@ def test_mathieu_range_error_names_the_grid_index_past_the_first_block(n):
 
 
 def test_mathieu_sampling_working_memory():
-    # the field is evaluated in row blocks: measured 1.13x the field at 1024^2, was 3.6x
+    # the field is synthesised in the tiles and row blocks of spectral._blocks: measured
+    # 1.20x the field at 1024^2 (1.12x for the closed form in row blocks, 3.6x before those)
     w = _matching_q_label("even", 2)
     d = 2.0 * w.f * math.sinh(0.94 * radial_xi_max(w.q)) / math.sqrt(2.0) / 1024
     tracemalloc.start()
@@ -401,18 +407,112 @@ def test_mathieu_sampling_working_memory():
     assert peak <= 1.5 * g.values.nbytes
 
 
-def test_mathieu_grid_blocks_sum_the_whole_grids_terms():
-    # every row block sums the radial terms chosen for the whole grid, so the
-    # sampled grid equals the public pieces evaluated on the whole grid at once
-    # (terms chosen per block changed 20 of these samples in their last bits)
-    w = _matching_q_label("even", 0)
-    ny = 3 * waves._ROWS + 5
-    d = 2.0 * w.f * math.sinh(0.94 * radial_xi_max(w.q)) / math.sqrt(2.0) / max(160, ny)
-    g = sample_grid(w, 160, ny, d, d)
-    xi, eta = elliptic_coords(*np.meshgrid(g.x(), g.y(), sparse=True), w.f)
-    scale = math.sqrt(math.sin(w.theta)) * mathieu_norm_constant("even", 0, w.q)
-    whole = scale * mathieu_ce_radial(0, w.q, xi) * mathieu_ce(0, w.q, eta) * np.exp(1j * w.kz * 0.0)
-    assert g.values.tobytes() == whole.tobytes()
+def _closed_form(w, x, y, z):
+    """sqrt(sin theta) c_n Ce_n(xi) ce_n(eta) e^{i k_z z} (or s_n Se_n se_n) from the public pieces."""
+    xi, eta = elliptic_coords(*np.meshgrid(x, y, sparse=True), w.f)
+    radial, angular = ((mathieu_ce_radial, mathieu_ce) if w.parity == "even"
+                       else (mathieu_se_radial, mathieu_se))
+    scale = math.sqrt(math.sin(w.theta)) * mathieu_norm_constant(w.parity, w.n, w.q)
+    return scale * radial(w.n, w.q, xi) * angular(w.n, w.q, eta) * np.exp(1j * w.kz * z)
+
+
+@pytest.mark.parametrize("q", [0.01, 1.0, 9.0, 40.0])
+@pytest.mark.parametrize("parity, n", [("even", 0), ("even", 2), ("even", 7),
+                                       ("odd", 1), ("odd", 2), ("odd", 6)])
+def test_mathieu_synthesis_matches_closed_form(parity, n, q):
+    # the grid synthesised from the ring profile against the closed form on a grid
+    # reaching 0.94 of the radial range, where the radial series cancels most:
+    # measured at most 2.8e-11 of the peak, mostly the closed form's error (see below)
+    w = _matching_q_label(parity, n, q)
+    d = 2.0 * w.f * math.sinh(0.94 * radial_xi_max(q)) / math.sqrt(2.0) / 128
+    g = sample_grid(w, 128, 128, d, 0.9 * d, z=0.3)
+    ref = _closed_form(w, g.x(), g.y(), 0.3)
+    assert np.abs(g.values - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+# the benchmark's elliptic field (1024^2, q = 1, corners at 0.94 of the radial range): its
+# peak, for scale, and the samples at a far corner, two edge midpoints and an inner point
+# as 40-digit mpmath evaluations of the closed form, with coefficients from a 40-digit
+# eigensolve of the recurrence matrix
+ELLIPTIC_REFERENCES = {
+    ("even", 2): (6.394781143777208, {(0, 0): 6.59184935824642437e-01,
+                                      (0, 512): 1.56121097298747658e+00,
+                                      (512, 0): -1.45684061153643918e+00,
+                                      (341, 5): -2.21656956858653942e+00}),
+    ("odd", 1): (0.23483264696302825, {(0, 0): 3.77949673386384424e-02,
+                                       (0, 512): -1.11739421709089445e-01,
+                                       (512, 0): 7.51881109224838978e-05,
+                                       (341, 5): -2.09979147397063026e-02}),
+}
+
+
+@pytest.mark.parametrize("parity, n", list(ELLIPTIC_REFERENCES))
+def test_mathieu_synthesis_is_nearer_the_true_field(parity, n):
+    # the gap between synthesis and closed form is the closed form's: at the far
+    # corner its radial series cancels by about e^13, and it is off by 6.5e-12 (even
+    # 2) and 7.0e-11 (odd 1) of the peak, while the synthesis is within 3e-16
+    peak, refs = ELLIPTIC_REFERENCES[parity, n]
+    w = _matching_q_label(parity, n)
+    d = 2.0 * w.f * math.sinh(0.94 * radial_xi_max(w.q)) / math.sqrt(2.0) / 1024
+    axis = -511.5 * d + d * np.arange(1024)
+    rows, cols = sorted({i for i, _ in refs} | {1023}), sorted({j for _, j in refs} | {1023})
+    synth = w.sample(axis[cols], axis[rows], 0.0)  # the whole grid's reach, so its ring size
+    closed = _closed_form(w, axis[cols], axis[rows], 0.0)
+    for (i, j), ref in refs.items():
+        at = rows.index(i), cols.index(j)
+        assert abs(synth[at] - ref) <= 1e-15 * peak
+        assert abs(closed[at] - ref) <= 1e-10 * peak
+    far = abs(closed[0, 0] - refs[0, 0]) / peak
+    assert far > 1e-12 and abs(synth[0, 0] - refs[0, 0]) <= 1e-3 * far * peak
+
+
+def test_mathieu_synthesis_ring_size(monkeypatch):
+    sizes = []
+    analytic_ring = waves.analytic_ring
+    monkeypatch.setattr(waves, "analytic_ring", lambda label, m: sizes.append(m) or analytic_ring(label, m))
+    # the benchmark's geometry reaches k_t r = 12.7, where M = 256 covers both orders
+    for parity, n in (("even", 2), ("odd", 1)):
+        w = _matching_q_label(parity, n)
+        half = w.f * math.sinh(0.94 * radial_xi_max(w.q)) / math.sqrt(2.0)
+        w.sample(np.array([-half, half]), np.array([-half, half]), 0.0)
+    assert sizes == [256, 256]
+
+
+def test_ring_size_sums_the_bounds_of_the_harmonics():
+    def size(harmonics, weights, z, what):  # on a one-sample grid at k_t r = z
+        return waves._ring_size(waves.Cone(1.0, math.pi / 2), [z], [0.0], harmonics, weights, what)
+    # a harmonic at or past M counts 2 |A_j|, and the harmonics' bounds add
+    assert size([300], [4e-17], 0.0, "") == 256
+    assert size([300], [6e-17], 0.0, "") == 512
+    assert size([300, 302], [4e-17, 4e-17], 0.0, "") == 512
+    assert size([300, 302], [0.0, 4e-17], 0.0, "") == 256
+    with pytest.raises(RangeError) as refused:
+        size([2 ** 16], [1e-16], 3.0, "a profile")
+    assert str(refused.value) == "a profile at k_t r = 3 needs more than 65536 ring samples"
+
+
+def test_mathieu_refusals_come_before_synthesis(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("ring tables built for a refused wave")
+
+    monkeypatch.setattr(waves, "analytic_ring", no_tables)
+    monkeypatch.setattr(waves, "field_from_ring", no_tables)
+    # order 200 at q = 2.2e-3, reaching xi = 5 inside the radial range (5.8): the norm
+    # constant's A_0 underflows, which is refused first
+    w = MathieuWave(2.0 * math.pi, 0.3, 200, "even", 0.05)
+    x = w.f * math.cosh(5.0) * np.array([-1.0, 0.0, 1.0])
+    y = np.array([0.0, 0.1])
+    reach = elliptic_coords(x[-1], y[-1], w.f)[0]
+    assert reach < radial_xi_max(w.q)
+    with pytest.raises(DomainError) as refused:
+        w.sample(x, y, 0.0)
+    assert str(refused.value) == (f"constant-term coefficient vanishes for even n=200 at q={w.q:g}; "
+                                  "the closed form diverges, take the q -> 0 limit instead")
+    # with a norm constant, the radial series is refused: its largest term at xi = 5 is past e^700
+    monkeypatch.setattr(waves, "mathieu_norm_constant", lambda *args: 1.0)
+    with pytest.raises(RangeError) as refused:
+        w.sample(x, y, 0.0)
+    assert str(refused.value) == f"radial series overflows double precision at xi = {reach:g} for order 200"
 
 
 def test_mathieu_grid_takes_its_norm_constant_once(monkeypatch):
@@ -423,6 +523,18 @@ def test_mathieu_grid_takes_its_norm_constant_once(monkeypatch):
     w = _matching_q_label("odd", 1)
     sample_grid(w, 16, 3 * waves._ROWS + 5, 0.01, 0.01)
     assert calls == [("odd", 1, w.q)]
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy 1 imports numpy.ma eagerly")
+def test_mathieu_grid_does_not_import_numpy_ma():
+    # numpy 2 imports numpy.ma on the first np.unique call (12-19 ms and 0.6 MB per
+    # command on a 2-vCPU VM); the largest |x| and |y| are taken without one
+    script = ("import math, sys; from wavemom import MathieuWave, sample_grid; "
+              "sample_grid(MathieuWave(2 * math.pi, math.pi / 6, 2, 'even', 0.3), 64, 48, 0.01, 0.01); "
+              "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_each_family_is_a_cone_with_a_ring_profile_and_a_sampler():
