@@ -27,11 +27,9 @@ from .spectral import (
     OamSpectrum,
     RingSpectrum,
     analytic_ring,
-    bessel_coeffs_of_mathieu,
     oam_spectrum,
     parseval_norm,
     parseval_residual,
-    plancherel_overlap,
     ring_spectrum_from_grid,
 )
 from .specfun.mathieu import (

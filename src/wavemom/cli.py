@@ -142,8 +142,7 @@ def _read_input(args):
         raise UsageError("csv input carries no cone; give --k and --theta")
     if not csv and (args.k, args.theta) != (None, None):
         raise UsageError("--k/--theta are for csv input; an hwmf file carries its cone")
-    spectral.check_ring_size(args.ring_samples)
-    spectral.check_charge_window(n_min, n_max, args.ring_samples)
+    spectral.check_charge_window(n_min, n_max, args.ring_samples)   # the ring size first
     if csv:
         return fieldio.read_field_csv(args.infile, args.k, args.theta), (n_min, n_max)
     return fieldio.read_field(args.infile), (n_min, n_max)

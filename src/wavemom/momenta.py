@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, RangeError, UndefinedMeanError, UsageError
-from .spectral import DEFAULT_CHARGE_WINDOW, DEFAULT_RING_SAMPLES, oam_spectrum, ring_spectrum_from_grid
+from .spectral import (DEFAULT_CHARGE_WINDOW, DEFAULT_RING_SAMPLES, oam_spectrum, parseval_norm,
+                       parseval_residual, ring_spectrum_from_grid)
 from .specfun.mathieu import mathieu_eigen
 from .waves import MathieuWave, check_focal
 
 GRID_OPS = ("lz", "px", "py", "elliptic")
+MAX_PARSEVAL_RESIDUAL = 1e-3  # the share of the ring's power a spectral mean may miss
 _SLAB = 32  # quadrature rows per slab of grid_mean
 
 
@@ -169,6 +171,11 @@ def _elliptic_notes(measured, wave):
 def _spectral_route(fieldgrid, *, m, n_min, n_max, window, **_):
     ring = ring_spectrum_from_grid(fieldgrid, m, window)
     spec = oam_spectrum(ring, n_min, n_max)
+    residual = parseval_residual(ring, spec)
+    if residual > MAX_PARSEVAL_RESIDUAL:
+        share = spec.norm / (math.sin(ring.theta) * parseval_norm(ring))
+        raise RangeError(f"charge window [{n_min}, {n_max}] holds {share:.3g} of the ring's power "
+                         f"(Parseval residual {residual:.3g} > {MAX_PARSEVAL_RESIDUAL:g}); widen the window")
     px, py = ring_transverse_means(ring)
     return MomentumReport(
         mean_lz=mean_charge(spec),

@@ -427,26 +427,27 @@ def mathieu_norm_constant(parity, n, q):
     """Wave normalisation constant c_n (even) or s_n (odd).
 
     Implements the four closed forms built from boundary values and
-    derivatives of the angular functions.  The three forms containing
-    1/sqrt(q) or 1/q require q > 0; the remaining (even order, even
-    parity) form additionally needs a nonzero constant-term coefficient.
+    derivatives of the angular functions, each divided by the class's
+    lowest coefficient, which must not vanish (at high order it underflows).
+    The three forms containing 1/sqrt(q) or 1/q also require q > 0.
     Finite and nonzero within the supported range for q > 0.
     """
     eig = mathieu_eigen(parity, n, q)
     q = eig.q
     lead = float(eig.coeffs[0])  # A_0, A_1, B_1 or B_2: the lowest harmonic of the class
-    if parity == "even" and n % 2 == 0:
-        if lead == 0.0:
-            raise DomainError(
-                f"constant-term coefficient vanishes for even n={n} at q={q:g}; "
-                "the closed form diverges, take the q -> 0 limit instead"
-            )
-        return mathieu_ce(n, q, 0.0) * mathieu_ce(n, q, math.pi / 2) / lead
-    if q == 0.0:
+    even_even = parity == "even" and n % 2 == 0
+    if q == 0.0 and not even_even:
         raise DomainError(
             f"normalisation constant for {parity} n={n} carries a 1/sqrt(q) "
             "factor; evaluate at small q > 0 for the limit"
         )
+    if lead == 0.0:
+        raise DomainError(
+            f"{'constant-term' if even_even else 'lowest'} coefficient vanishes for {parity} n={n} "
+            f"at q={q:g}; the closed form diverges, take the q -> 0 limit instead"
+        )
+    if even_even:
+        return mathieu_ce(n, q, 0.0) * mathieu_ce(n, q, math.pi / 2) / lead
     if parity == "even":
         d_half = mathieu_angular_derivative("even", n, q, math.pi / 2)
         return -mathieu_ce(n, q, 0.0) * d_half / (math.sqrt(q) * lead)

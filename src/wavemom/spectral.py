@@ -7,7 +7,7 @@ This module extracts that ring amplitude from sampled grids by direct
 nonuniform evaluation of the Fourier sum (exact with respect to the
 sampled data), projects ring profiles onto integer topological charges,
 wraps a wave's analytic ring profile as a spectrum, and provides the
-overlap and norm identities connecting the two representations.
+Parseval norm identity connecting the two representations.
 
 Conventions: ring samples live at the M azimuths phi_m = -pi + 2 pi m / M
 and carry the sqrt(sin theta) kernel weight of the forward transform; the
@@ -16,7 +16,9 @@ charge projection is
     c_n = (2 pi)^{-1/2} (sin theta)^{1/2} * (2 pi / M) sum_m a_m e^{-i n phi_m}
 
 so that sum_n |c_n|^2 = sin(theta) * (2 pi / M) sum_m |a_m|^2 holds exactly
-whenever the requested charge window spans M consecutive integers.
+whenever the requested charge window spans M consecutive integers.  The M
+samples cannot tell charge n from n + M, so every window lies in the band
+-M/2 <= n < M/2.
 """
 
 import math
@@ -29,7 +31,6 @@ from .errors import RangeError, check_integers
 DEFAULT_RING_SAMPLES = 1024
 DEFAULT_CHARGE_WINDOW = (-40, 40)
 MAX_RING_SAMPLES = 2 ** 16
-MAX_CHARGE = 2 ** 53  # |n| up to which float64 charge weights are exact integers
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK = 32        # grid rows per block of the ring sums
@@ -52,16 +53,17 @@ def check_ring_size(m):
         raise RangeError(message.format(m))
 
 
-def check_charge_window(n_min, n_max, m=None):
-    """(n_min, n_max) as Python ints: a charge window must be integers, non-empty, lie within
-    |n| <= MAX_CHARGE and, given M, fit in M ring samples."""
+def check_charge_window(n_min, n_max, m):
+    """(n_min, n_max) as Python ints: M must be a ring size, and a charge window of its ring
+    non-empty integers in the band -M/2 <= n < M/2, since the M-point transform reads
+    charge n and n + M as one."""
+    check_ring_size(m)
     n_min, n_max = check_integers("charge range [{}, {}] must be integers", n_min, n_max)
     if n_max < n_min:
         raise RangeError(f"empty charge range [{n_min}, {n_max}]")
-    if max(-n_min, n_max) > MAX_CHARGE:
-        raise RangeError(f"charge range [{n_min}, {n_max}] exceeds |n| <= 2^53")
-    if m is not None and n_max - n_min + 1 > m:
-        raise RangeError(f"charge range [{n_min}, {n_max}] exceeds the {m} ring samples")
+    if n_min < -m // 2 or n_max >= m // 2:
+        raise RangeError(f"charge range [{n_min}, {n_max}] leaves the band "
+                         f"[{-m // 2}, {m // 2 - 1}] of {m} ring samples")
     return n_min, n_max
 
 
@@ -113,8 +115,9 @@ class RingSpectrum(Cone):
 
 @dataclass(frozen=True)
 class OamSpectrum(Cone):
-    """Topological-charge coefficients of a ring profile; compared by identity."""
+    """Topological-charge coefficients of a ring of m samples; compared by identity."""
 
+    m: int
     n_min: int
     n_max: int
     coeffs: np.ndarray = field(repr=False)
@@ -122,7 +125,7 @@ class OamSpectrum(Cone):
 
     def __post_init__(self):
         super().__post_init__()
-        check_charge_window(self.n_min, self.n_max)
+        check_charge_window(self.n_min, self.n_max, self.m)
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.complex128))
         if self.coeffs.ndim != 1:
             raise RangeError(f"charge coefficients must be a 1-D array, got shape {self.coeffs.shape}")
@@ -324,38 +327,13 @@ def oam_spectrum(ring, n_min=DEFAULT_CHARGE_WINDOW[0], n_max=DEFAULT_CHARGE_WIND
     signs = np.where(ns % 2 == 0, 1.0, -1.0)
     raw = signs * transform[np.mod(ns, m)]
     pref = math.sqrt(math.sin(ring.theta)) / _SQRT_2PI * (2.0 * math.pi / m)
-    return OamSpectrum(ring.k, ring.theta, n_min, n_max, pref * raw)
+    return OamSpectrum(ring.k, ring.theta, m, n_min, n_max, pref * raw)
 
 
 def analytic_ring(label, m=DEFAULT_RING_SAMPLES):
     """On-cone ring spectrum of a wave label from its analytic ring profile."""
     check_ring_size(m)
     return RingSpectrum(label.k, label.theta, label.ring_profile(ring_azimuths(m)))
-
-
-def _require_same_cone(a, b):
-    same = (
-        a.m == b.m
-        and math.isclose(a.k, b.k, rel_tol=1e-12, abs_tol=0.0)
-        and math.isclose(a.theta, b.theta, rel_tol=1e-12, abs_tol=0.0)
-    )
-    if not same:
-        raise RangeError(
-            "ring profiles live on different cones "
-            f"((k, theta, M) = ({a.k:g}, {a.theta:g}, {a.m}) vs "
-            f"({b.k:g}, {b.theta:g}, {b.m})); on-cone overlaps require equal metadata"
-        )
-
-
-def plancherel_overlap(a, b):
-    """Phase-space overlap (2 pi / M) sum conj(a_m) b_m of two ring profiles.
-
-    Mixing different cones is an error rather than zero: the cone deltas
-    are carried symbolically by the metadata and only cancel in ratios on
-    a single cone.  Satisfies overlap(a, b) = conj(overlap(b, a)).
-    """
-    _require_same_cone(a, b)
-    return complex(2.0 * math.pi / a.m * np.sum(a.samples.conj() * b.samples))
 
 
 def parseval_norm(ring):
@@ -375,40 +353,3 @@ def parseval_residual(ring, spec):
     scale = max(abs(weighted), abs(spec.norm), 1e-300)
     return abs(spec.norm - weighted) / scale
 
-
-def bessel_coeffs_of_mathieu(eigen, k, theta):
-    """Charge-basis coefficients of an elliptic wave on the (k, theta) cone.
-
-    Returns a pair of spectra.  The one-sided form places 2^{-1/2} times
-    each expansion coefficient at the non-negative charge equal to its
-    harmonic, exactly as the closed-form decomposition is written.  The
-    two-sided form resolves cos/sin harmonics into charge pairs:
-
-        cos j phi -> equal coefficients at +-j (with 2^{1/2} A_0 at 0),
-        sin j phi -> -+ i-weighted antisymmetric pair at +-j,
-
-    matching what :func:`oam_spectrum` of the analytic ring profile yields.
-    Each spectrum's norm is the plain coefficient power in its own
-    convention.
-    """
-    harmonics = eigen.harmonics
-    coeffs = eigen.coeffs
-    n_top = int(harmonics[-1]) if len(harmonics) else 0
-
-    half = coeffs / math.sqrt(2.0)
-    one = np.zeros(n_top + 1, dtype=np.complex128)
-    one[harmonics] = half
-    one_sided = OamSpectrum(k, theta, 0, n_top, one)
-
-    two = np.zeros(2 * n_top + 1, dtype=np.complex128)
-    centre = n_top
-    if eigen.mathieu_class.parity == "even":
-        two[centre + harmonics] = half
-        two[centre - harmonics] = half
-        if eigen.mathieu_class.first_harmonic == 0:
-            two[centre] = math.sqrt(2.0) * coeffs[0]
-    else:
-        two[centre + harmonics] = -1j * half
-        two[centre - harmonics] = 1j * half
-    two_sided = OamSpectrum(k, theta, -n_top, n_top, two)
-    return one_sided, two_sided

@@ -11,6 +11,9 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
+from wavemom.errors import RangeError
+from wavemom.spectral import OamSpectrum
+
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**n without pow() rounding
 
 
@@ -82,6 +85,72 @@ def ring_direct(fieldgrid, m, window):
     sums = np.einsum("jm,jm->m", by, vals @ ax)
     weight = math.sqrt(math.sin(meta.theta)) * fieldgrid.dx * fieldgrid.dy
     return weight * np.exp(-1j * meta.kz * fieldgrid.z_plane) * sums
+
+
+# ------------------------------------------------ charge-basis references
+
+def _require_same_cone(a, b):
+    same = (
+        a.m == b.m
+        and math.isclose(a.k, b.k, rel_tol=1e-12, abs_tol=0.0)
+        and math.isclose(a.theta, b.theta, rel_tol=1e-12, abs_tol=0.0)
+    )
+    if not same:
+        raise RangeError(
+            "ring profiles live on different cones "
+            f"((k, theta, M) = ({a.k:g}, {a.theta:g}, {a.m}) vs "
+            f"({b.k:g}, {b.theta:g}, {b.m})); on-cone overlaps require equal metadata"
+        )
+
+
+def plancherel_overlap(a, b):
+    """Phase-space overlap (2 pi / M) sum conj(a_m) b_m of two ring profiles.
+
+    Mixing different cones is an error rather than zero: the cone deltas
+    are carried symbolically by the metadata and only cancel in ratios on
+    a single cone.  Satisfies overlap(a, b) = conj(overlap(b, a)).
+    """
+    _require_same_cone(a, b)
+    return complex(2.0 * math.pi / a.m * np.sum(a.samples.conj() * b.samples))
+
+
+def bessel_coeffs_of_mathieu(eigen, k, theta):
+    """Charge-basis coefficients of an elliptic wave on the (k, theta) cone.
+
+    Returns a pair of spectra.  The one-sided form places 2^{-1/2} times
+    each expansion coefficient at the non-negative charge equal to its
+    harmonic, exactly as the closed-form decomposition is written.  The
+    two-sided form resolves cos/sin harmonics into charge pairs:
+
+        cos j phi -> equal coefficients at +-j (with 2^{1/2} A_0 at 0),
+        sin j phi -> -+ i-weighted antisymmetric pair at +-j,
+
+    matching what ``oam_spectrum`` of the analytic ring profile yields.
+    Each spectrum's norm is the plain coefficient power in its own
+    convention; both carry the smallest ring size whose band holds them.
+    """
+    harmonics = eigen.harmonics
+    coeffs = eigen.coeffs
+    n_top = int(harmonics[-1]) if len(harmonics) else 0
+    m = max(256, 1 << (2 * n_top + 1).bit_length())
+
+    half = coeffs / math.sqrt(2.0)
+    one = np.zeros(n_top + 1, dtype=np.complex128)
+    one[harmonics] = half
+    one_sided = OamSpectrum(k, theta, m, 0, n_top, one)
+
+    two = np.zeros(2 * n_top + 1, dtype=np.complex128)
+    centre = n_top
+    if eigen.mathieu_class.parity == "even":
+        two[centre + harmonics] = half
+        two[centre - harmonics] = half
+        if eigen.mathieu_class.first_harmonic == 0:
+            two[centre] = math.sqrt(2.0) * coeffs[0]
+    else:
+        two[centre + harmonics] = -1j * half
+        two[centre - harmonics] = 1j * half
+    two_sided = OamSpectrum(k, theta, m, -n_top, n_top, two)
+    return one_sided, two_sided
 
 
 # ------------------------------------------------- Mathieu eigenproblem

@@ -15,7 +15,6 @@ from wavemom.errors import FormatError
 from wavemom.momenta import grid_mean, mean_charge, oam_mathieu_paper
 from wavemom.spectral import (
     analytic_ring,
-    bessel_coeffs_of_mathieu,
     oam_spectrum,
     parseval_residual,
     ring_spectrum_from_grid,
@@ -24,7 +23,7 @@ from wavemom.spectral import (
 from wavemom.specfun.mathieu import mathieu_ce, mathieu_eigen, mathieu_se, radial_xi_max
 from wavemom.waves import BesselWave, MathieuWave, PlaneWave, sample_grid
 
-from _oracles import mathieu_coeffs
+from _oracles import bessel_coeffs_of_mathieu, mathieu_coeffs
 
 K = 2.0 * math.pi
 

@@ -530,6 +530,21 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         assert outputs["1", key] == outputs["2", key], key
 
 
+def test_mathieu_lowest_coefficient_underflow_is_exit_2(tmp_path):
+    # odd order 60 at q = 8.6e-5: B_2 underflows to 0, which divided the norm constant
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "wavemom.cli", "gen", "--family", "mathieu-odd",
+                           "--k", "6.2832", "--theta", "0.3", "--n", "60", "--f", "0.01",
+                           "--grid", "16,16", "--dx", "0.001", "--out", "z.hwmf"],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("error: lowest coefficient vanishes for odd n=60 at q=8.61938e-05; "
+                           "the closed form diverges, take the q -> 0 limit instead\n")
+    assert not (tmp_path / "z.hwmf").exists()
+
+
 def test_report_q_is_the_wave_q(tmp_path, monkeypatch):
     from wavemom import momenta
     from wavemom.waves import MathieuWave
@@ -737,7 +752,7 @@ _RING_100 = "ring sample count must be a power of two in [256, 65536], got 100"
     (["--ring-samples", 100], _RING_100),
     (["--n-range", "5,-5"], _EMPTY_WINDOW),
     (["--n-range", "-200,200", "--ring-samples", 256],
-     "charge range [-200, 200] exceeds the 256 ring samples"),
+     "charge range [-200, 200] leaves the band [-128, 127] of 256 ring samples"),
 ])
 @pytest.mark.parametrize("methods", ["grid", "spectral,grid"])
 def test_reader_options_checked_whatever_the_methods(small_inputs, capsys, flags, message, methods):
@@ -750,17 +765,53 @@ def test_reader_options_checked_whatever_the_methods(small_inputs, capsys, flags
 @pytest.mark.parametrize("window", [(10 ** 23, 10 ** 23), (2 ** 63 - 1, 2 ** 63 - 1),
                                     (-2 ** 53 - 1, 0), (0, 2 ** 53 + 1)])
 def test_charge_window_within_exact_float_integers(tmp_path, capsys, command, window):
-    # charges are weighted in float64, which holds integers exactly up to 2^53;
-    # the window is refused before the file opens
+    # a window past any float64 integer is outside the ring's band too, and is refused
+    # before the file opens
     assert run([*command, "--in", tmp_path / "missing.hwmf", "--n-range", "{},{}".format(*window)]) == 2
-    assert capsys.readouterr().err == "error: charge range [{}, {}] exceeds |n| <= 2^53\n".format(*window)
+    assert capsys.readouterr().err == \
+        "error: charge range [{}, {}] leaves the band [-512, 511] of 1024 ring samples\n".format(*window)
 
 
 @pytest.mark.parametrize("command", [["spectrum"], ["momenta", "--methods", "spectral"]])
 def test_charge_window_at_2_to_the_53(small_inputs, capsys, command):
+    # the 1024 ring samples read charge -2^53 as charge 0, so the window is refused
     edge = 2 ** 53
-    assert run([*command, "--in", small_inputs / "field.hwmf", "--n-range", f"{-edge},{-edge}"]) == 0
-    assert str(-edge) in capsys.readouterr().out
+    assert run([*command, "--in", small_inputs / "field.hwmf", "--n-range", f"{-edge},{-edge}"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: charge range [{-edge}, {-edge}] leaves the band [-512, 511] of 1024 ring samples\n"
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["momenta", "--methods", "spectral"]])
+@pytest.mark.parametrize("m,window,code", [(256, "-128,127", 0), (256, "-129,0", 2), (256, "0,128", 2),
+                                           # charges 1020..1030 are -4..6: a Bessel n = 3 grid read 1027.0
+                                           (1024, "1020,1030", 2)])
+def test_charge_window_band_edges(small_inputs, capsys, command, m, window, code):
+    # M ring samples tell apart the charges -M/2 to M/2 - 1 and no others
+    assert run([*command, "--in", small_inputs / "field.hwmf", "--ring-samples", m,
+                "--n-range", window]) == code
+    if code:
+        assert capsys.readouterr().err == (f"error: charge range [{window.replace(',', ', ')}] leaves the "
+                                           f"band [{-m // 2}, {m // 2 - 1}] of {m} ring samples\n")
+
+
+def test_spectral_mean_needs_the_rings_power(tmp_path, capsys):
+    # a Bessel n = 60 field holds no power in the default window [-40, 40]: its spectral mean
+    # read 3.35 under hann; spectrum reports the residual, and a window that holds the
+    # power gives the mean
+    field = tmp_path / "b60.hwmf"
+    assert run(["gen", "--family", "bessel", "--k", 6.2832, "--theta", THETA, "--n", 60,
+                "--grid", "256,256", "--dx", 0.5, "--out", field]) == 0
+    capsys.readouterr()
+    assert run(["momenta", "--in", field, "--methods", "spectral", "--window", "hann"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: charge window [-40, 40] holds ")
+    assert err.endswith(" of the ring's power (Parseval residual 1 > 0.001); widen the window\n")
+    assert float(err.split()[6]) < 1e-15
+    assert run(["spectrum", "--in", field, "--window", "hann"]) == 0
+    assert json.loads(capsys.readouterr().out)["parseval_residual"] == pytest.approx(1.0)
+    assert run(["momenta", "--in", field, "--methods", "spectral", "--window", "hann",
+                "--n-range", "-80,80"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["mean_lz"] == pytest.approx(60.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("command", [["spectrum"], ["momenta", "--methods", "grid"]])

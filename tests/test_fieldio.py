@@ -636,7 +636,7 @@ def test_csv_writers_golden_bytes(tmp_path):
     assert path.read_bytes() == expected.encode("utf-8")
 
     coeffs = (_golden_column(8, 3) + 1j * _golden_column(8, 5)) * 1e-160  # |c|^2 stays finite
-    spec = OamSpectrum(2.0, 0.5, -3, 4, coeffs)
+    spec = OamSpectrum(2.0, 0.5, 256, -3, 4, coeffs)
     path = tmp_path / "oam.csv"
     write_oam_csv(spec, path)
     expected = "n,re,im,abs2\n" + _lines([str(n) for n in range(-3, 5)], _g17(coeffs.real),
@@ -653,7 +653,7 @@ def test_spectrum_writers(tmp_path):
     assert lines[0] == "phi,re,im"
     assert len(lines) == 257
 
-    spec = OamSpectrum(2.0, 0.5, -2, 2, np.array([0, 1j, 0.25, 0, 0.5 - 0.5j]))
+    spec = OamSpectrum(2.0, 0.5, 256, -2, 2, np.array([0, 1j, 0.25, 0, 0.5 - 0.5j]))
     oam_path = tmp_path / "oam.csv"
     write_oam_csv(spec, oam_path)
     lines = oam_path.read_text().splitlines()

@@ -436,6 +436,19 @@ def test_norm_constant_domain_errors():
     assert mathieu_norm_constant("even", 0, 0.0) == pytest.approx(1 / math.sqrt(2))
 
 
+@pytest.mark.parametrize("parity,n,term", [("even", 60, "constant-term"), ("even", 61, "lowest"),
+                                            ("odd", 61, "lowest"), ("odd", 60, "lowest")])
+def test_norm_constant_refuses_an_underflowed_lowest_coefficient(parity, n, term):
+    # at order 60 and q = 8.6e-5 the class's lowest coefficient (A_0, A_1, B_1 or B_2)
+    # underflows to 0, which each of the four closed forms divides by
+    q = 8.61938e-05
+    assert mathieu_eigen(parity, n, q).coeffs[0] == 0.0
+    with pytest.raises(DomainError) as refused:
+        mathieu_norm_constant(parity, n, q)
+    assert str(refused.value) == (f"{term} coefficient vanishes for {parity} n={n} at q={q:g}; "
+                                  "the closed form diverges, take the q -> 0 limit instead")
+
+
 def test_norm_constant_at_tiny_q():
     # q is solved at its own value, not rounded to 0, so A_0 ~ q / 4 is nonzero
     assert mathieu_eigen("even", 2, 4e-13).q == 4e-13

@@ -43,7 +43,7 @@ def charge_spectrum(pairs, k=K, theta=0.4):
     coeffs = np.zeros(hi - lo + 1, complex)
     for n, c in pairs:
         coeffs[n - lo] = c
-    return OamSpectrum(k, theta, lo, hi, coeffs)
+    return OamSpectrum(k, theta, 256, lo, hi, coeffs)
 
 
 # ----------------------------------------------------------- mean charge
@@ -350,7 +350,8 @@ def test_elliptic_invariant_odd_wave():
 # the wavemom functions each route calls, beyond those in ALLOWED_CALLS
 ROUTE_CALLS = {
     "spectral": {"ring_spectrum_from_grid", "oam_spectrum", "_quarter", "_blocks", "_tables",
-                 "_product", "_window_rows", "mean_charge", "ring_transverse_means"},
+                 "_product", "_window_rows", "parseval_residual", "parseval_norm", "mean_charge",
+                 "ring_transverse_means"},
     "grid": {"grid_mean", "_lz", "_diff"},
     "paper": {"mathieu_eigen", "oam_mathieu_paper"},
 }

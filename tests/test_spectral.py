@@ -15,18 +15,16 @@ from wavemom.spectral import (
     OamSpectrum,
     RingSpectrum,
     analytic_ring,
-    bessel_coeffs_of_mathieu,
     oam_spectrum,
     parseval_norm,
     parseval_residual,
-    plancherel_overlap,
     ring_azimuths,
     ring_spectrum_from_grid,
 )
 from wavemom.specfun.mathieu import mathieu_eigen, mathieu_norm_constant
 from wavemom.waves import BesselWave, FieldGrid, MathieuWave, PlaneWave, sample_grid
 
-from _oracles import ring_direct
+from _oracles import bessel_coeffs_of_mathieu, plancherel_overlap, ring_direct
 
 K = 2.0 * math.pi
 M = 1024
@@ -267,7 +265,7 @@ def test_spectra_and_grids_compare_by_identity():
     # Cone's would compare (k, theta) alone, so two different samplings would be equal
     grid = sample_grid(BesselWave(K, 0.3, 2), 16, 16, 0.2, 0.2)
     for a, b in ((bare_ring(np.ones(256)), bare_ring(np.zeros(256))),
-                 (OamSpectrum(K, 0.3, 0, 1, [1, 2]), OamSpectrum(K, 0.3, 0, 1, [1, 3])),
+                 (OamSpectrum(K, 0.3, 256, 0, 1, [1, 2]), OamSpectrum(K, 0.3, 256, 0, 1, [1, 3])),
                  (grid, dataclasses.replace(grid))):
         assert a == a and a != b and not a == b
         assert hash(a) == hash(a) and {a, b} == {b, a}
@@ -360,7 +358,7 @@ def test_ring_sizes_and_charge_windows_are_integers():
 ])
 def test_off_cone_spectra_are_refused(k, theta, message):
     for build in (lambda: RingSpectrum(k, theta, np.ones(256)),
-                  lambda: OamSpectrum(k, theta, -1, 1, np.ones(3))):
+                  lambda: OamSpectrum(k, theta, 256, -1, 1, np.ones(3))):
         with pytest.raises(RangeError) as exc:
             build()
         assert str(exc.value) == message
@@ -369,16 +367,21 @@ def test_off_cone_spectra_are_refused(k, theta, message):
 @pytest.mark.parametrize("build,message", [
     (lambda: bare_ring(np.full(256, complex(1.0, math.nan))), "ring samples must be finite"),
     (lambda: bare_ring(np.full(256, math.inf)), "ring samples must be finite"),
-    (lambda: OamSpectrum(K, 0.3, -1, 1, np.ones(2)),
+    (lambda: OamSpectrum(K, 0.3, 256, -1, 1, np.ones(2)),
      "coefficient count does not match the charge range"),
     # a (256, 2) array would pass the ring-size check on its length of 256
     (lambda: bare_ring(np.ones((256, 2))), "ring samples must be a 1-D array, got shape (256, 2)"),
-    (lambda: OamSpectrum(K, 0.3, 0, 1, np.ones((2, 2))),
+    (lambda: OamSpectrum(K, 0.3, 256, 0, 1, np.ones((2, 2))),
      "charge coefficients must be a 1-D array, got shape (2, 2)"),
-    (lambda: OamSpectrum(K, 0.3, 0, 0, 1.0), "charge coefficients must be a 1-D array, got shape ()"),
-    (lambda: OamSpectrum(K, 0.3, 2.5, 4.5, np.ones(3)), "charge range [2.5, 4.5] must be integers"),
-    (lambda: OamSpectrum(K, 0.3, 0, -1, np.ones(0)), "empty charge range [0, -1]"),
-], ids=["nan", "inf", "count", "ring-2d", "oam-2d", "oam-0d", "oam-float", "oam-empty"])
+    (lambda: OamSpectrum(K, 0.3, 256, 0, 0, 1.0), "charge coefficients must be a 1-D array, got shape ()"),
+    (lambda: OamSpectrum(K, 0.3, 256, 2.5, 4.5, np.ones(3)), "charge range [2.5, 4.5] must be integers"),
+    (lambda: OamSpectrum(K, 0.3, 256, 0, -1, np.ones(0)), "empty charge range [0, -1]"),
+    (lambda: OamSpectrum(K, 0.3, 100, 0, 1, np.ones(2)),
+     "ring sample count must be a power of two in [256, 65536], got 100"),
+    (lambda: OamSpectrum(K, 0.3, 256.0, 0, 1, np.ones(2)),
+     "ring sample count must be a power of two in [256, 65536], got 256.0"),
+], ids=["nan", "inf", "count", "ring-2d", "oam-2d", "oam-0d", "oam-float", "oam-empty", "oam-ring",
+        "oam-ring-float"])
 def test_spectrum_contents_are_checked(build, message):
     with pytest.raises(RangeError) as exc:
         build()
@@ -400,6 +403,28 @@ def test_charge_range_errors():
     spec = oam_spectrum(ring, -3, 3)
     with pytest.raises(RangeError):
         spec.coeff(4)
+
+
+@pytest.mark.parametrize("m", [256, 1024])
+def test_charge_window_is_a_band_of_the_ring(m):
+    # the M-point transform reads charge n and n + M as one, so a window lies in
+    # -M/2 <= n < M/2, whoever builds the spectrum
+    rng = np.random.default_rng(m)
+    ring = bare_ring(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    half = m // 2
+    for lo, hi in [(-half, -half), (half - 1, half - 1), (-half, half - 1)]:
+        spec = oam_spectrum(ring, lo, hi)
+        assert (spec.m, spec.n_min, spec.n_max) == (m, lo, hi)
+        assert OamSpectrum(K, 0.3, m, lo, hi, spec.coeffs).m == m
+    # (m - 4, m + 6) would read the charges -4 to 6 again
+    for lo, hi in [(-half - 1, -half - 1), (half, half), (-half - 1, 0), (0, half),
+                   (m - 4, m + 6)]:
+        message = f"charge range [{lo}, {hi}] leaves the band [{-half}, {half - 1}] of {m} ring samples"
+        for build in (lambda: oam_spectrum(ring, lo, hi),
+                      lambda: OamSpectrum(K, 0.3, m, lo, hi, np.ones(hi - lo + 1))):
+            with pytest.raises(RangeError) as exc:
+                build()
+            assert str(exc.value) == message
 
 
 # ----------------------------------------------------- analytic forms
