@@ -10,6 +10,7 @@ doubles exactly.  Every text output, CSV or JSON, is written as UTF-8 with
 """
 
 import json
+import math
 import sys
 import warnings
 from itertools import chain
@@ -17,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import FormatError, RangeError
-from .spectral import Cone
+from .spectral import Cone, ring_azimuths
 from .waves import FieldGrid
 
 MAGIC = "HWMF1"
@@ -188,33 +189,36 @@ def _scan_rows(path):
     """Parse the data rows line by line; each error names its file line.
 
     This is the reference parser: it runs whenever the bulk parse refuses
-    the file or finds a non-finite value, and it accepts every input that
-    Python's float() does (blank and whitespace-only lines are skipped).
-    The rows come back as :func:`_load_rows` returns them.
+    the file, and it accepts every input that Python's float() does (blank
+    and whitespace-only lines are skipped).  It counts the lines first, so
+    each row goes straight into arrays as :func:`_load_rows` returns them;
+    a parse error anywhere is reported before the first non-finite value.
     """
-    rows, linenos = [], []
     with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if lineno == 1 and parts[0].strip().lower() == "x":
+        size = sum(1 for _ in fh)
+        fh.seek(0)
+        coords, values = np.empty((2, size)), np.empty(size, dtype=np.complex128)
+        n, non_finite = 0, None
+        for lineno, line in enumerate(fh, 1):  # no line is empty: a blank one holds its line end
+            parts = line.strip().split(",")
+            if line.isspace() or lineno == 1 and parts[0].strip().lower() == "x":
                 continue
             if len(parts) != 4:
                 raise FormatError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
             try:
-                rows.append(tuple(float(p) for p in parts))
+                x, y, re, im = map(float, parts)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: unparseable number: {exc}") from exc
-            linenos.append(lineno)
-    if not rows:
+            if non_finite is None and not all(map(math.isfinite, (x, y, re, im))):
+                non_finite = lineno
+            coords[:, n] = x, y
+            values[n] = complex(re, im)
+            n += 1
+    if not n:
         raise FormatError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        raise FormatError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
-    return data[:, :2].T, data.view(np.complex128)[:, 1]
+    if non_finite is not None:
+        raise FormatError(f"{path}:{non_finite}: non-finite value")
+    return coords[:, :n], values[:n]
 
 
 def _count_newlines(path):
@@ -255,26 +259,16 @@ def _parse(lines, coords, values):
 
 def _load_rows(path):
     """The data rows in file order, as a (2, n) array of x, y and an (n,) complex array of
-    re + i im, parsed by numpy when possible.  The arrays are sized by the file's line
-    ends, so a file whose lines end in a lone \\r is read by the row loop."""
+    re + i im, parsed by numpy when possible.  The arrays are sized by the file's \\n bytes;
+    a file that numpy refuses, or whose lines end in a lone \\r, is read by the row loop."""
     size = _count_newlines(path) + 1
     coords, values = np.empty((2, size)), np.empty(size, dtype=np.complex128)
     with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
-        header = fh.readline().split(",")[0].strip().lower() == "x"
-        if not header:
+        if fh.readline().split(",")[0].strip().lower() != "x":
             fh.seek(0)
         n = _parse(fh, coords, values)
-        # loadtxt skips empty lines but refuses whitespace-only ones, which
-        # the format skips too; only a file that has one is parsed again
-        if n is None:
-            fh.seek(0)
-            if any(line.isspace() and line != "\n" for line in fh):
-                fh.seek(0)
-                lines = (line for line in fh if not line.isspace())
-                if header:
-                    next(lines)
-                n = _parse(lines, coords, values)
     if n is None:
+        del coords, values  # before the row loop makes its own
         return _scan_rows(path)  # names the first bad line or non-finite value
     return coords[:, :n], values[:n]
 
@@ -362,7 +356,7 @@ def read_field_csv(path, k, theta):
 def write_ring_csv(ring, path):
     """Ring profile as CSV rows phi,re,im."""
     s = ring.samples
-    _write_csv(path, "phi,re,im", [(_fmt(ring.azimuths()), _fmt(s.real), _fmt(s.imag))])
+    _write_csv(path, "phi,re,im", [(_fmt(ring_azimuths(ring.m)), _fmt(s.real), _fmt(s.imag))])
 
 
 def write_oam_csv(spec, path):

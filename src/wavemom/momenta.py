@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalError, RangeError, UndefinedMeanError, UsageError
 from .spectral import (DEFAULT_CHARGE_WINDOW, DEFAULT_RING_SAMPLES, oam_spectrum, parseval_norm,
-                       parseval_residual, ring_spectrum_from_grid)
+                       parseval_residual, ring_azimuths, ring_spectrum_from_grid)
 from .specfun.mathieu import mathieu_eigen
 from .waves import MathieuWave, check_focal
 
@@ -145,7 +145,7 @@ def ring_transverse_means(ring):
     total = power.sum()
     if not total > 0.0:
         raise UndefinedMeanError("ring profile has zero norm; means are undefined")
-    phi = ring.azimuths()
+    phi = ring_azimuths(ring.m)
     s = math.sin(ring.theta)
     return (
         float(s * (power * np.cos(phi)).sum() / total),

@@ -386,20 +386,19 @@ def check_radial_range(q, xi, row0=0):
         )
 
 
-def _radial(parity, n, q, xi, reach=None):
+def _radial(parity, n, q, xi):
     """Ce_n (even) or Se_n (odd) at xi >= 0 by the per-harmonic _series.
 
-    Refuses xi as check_radial_range does, and a sum whose largest term
-    bound |c_j| e^(h_j reach) exceeds e^700; terms whose bound is below
-    e^-46 of the largest are dropped, since they cannot reach the sum's
-    last bit.  reach defaults to the largest xi given; a caller that sums
-    a grid in blocks passes the grid's, so every block sums the same terms.
+    Refuses xi as check_radial_range does, and a sum whose largest term bound
+    |c_j| e^(h_j xi) at the largest xi exceeds e^700; terms whose bound is
+    below e^-46 of the largest are dropped, since they cannot reach the
+    sum's last bit.
     """
     eig = mathieu_eigen(parity, n, q)
     xi = np.asarray(xi, dtype=float)
     check_radial_range(q, xi)
     h = eig.harmonics.astype(float)
-    xmax = (xi.max() if xi.size else 0.0) if reach is None else reach
+    xmax = xi.max() if xi.size else 0.0
     with np.errstate(divide="ignore"):
         bound = np.log(np.abs(eig.coeffs)) + h * xmax   # cosh z <= e^z
     top = bound.max()
@@ -413,14 +412,14 @@ def _radial(parity, n, q, xi, reach=None):
     return _series(h[keep], eig.coeffs[keep], xi, hyp)
 
 
-def mathieu_ce_radial(n, q, xi, reach=None):
+def mathieu_ce_radial(n, q, xi):
     """Radial companion Ce_n(xi; q) = ce_n(i xi; q), hyperbolic-cosine series."""
-    return _radial("even", n, q, xi, reach)
+    return _radial("even", n, q, xi)
 
 
-def mathieu_se_radial(n, q, xi, reach=None):
+def mathieu_se_radial(n, q, xi):
     """Radial companion Se_n(xi; q) = -i se_n(i xi; q), hyperbolic-sine series."""
-    return _radial("odd", n, q, xi, reach)
+    return _radial("odd", n, q, xi)
 
 
 def mathieu_norm_constant(parity, n, q):

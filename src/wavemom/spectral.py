@@ -35,6 +35,8 @@ MAX_RING_SAMPLES = 2 ** 16
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK = 32        # grid rows per block of the ring sums
 _TILE = 2 ** 20    # floats of x-side arrays a ring sum keeps per wavenumber tile
+# a synthesis was within 5.2 sqrt(1 + k_t r_max) eps sin(theta) (2 pi / M) sum |a_m| of 40-digit references
+_ROUNDING = 8 * np.finfo(float).eps
 # the phase of (cos or sin of x) (cos or sin of y) in each quadrant of the ring, whose signs
 # (s, t) are (-,-), (+,-), (+,+), (-,+): 1, -i t, -i s and -s t, with no -0.0 part
 _PHASES = np.array([[1, 1, 1, 1], [1j, 1j, -1j, -1j], [1j, -1j, -1j, 1j], [-1, 1, -1, 1]]) + 0.0
@@ -108,9 +110,6 @@ class RingSpectrum(Cone):
     @property
     def m(self):
         return len(self.samples)
-
-    def azimuths(self):
-        return ring_azimuths(self.m)
 
 
 @dataclass(frozen=True)
@@ -288,14 +287,17 @@ def field_from_ring(ring, x, y, z):
     is spectrally accurate for a smooth ring profile.  Returns shape
     (len(y), len(x)).  The adjoint of :func:`ring_spectrum_from_grid`'s kernel
     on the same quarter tables and the same tiles and row blocks of
-    :func:`_blocks`, so no temporary grows with len(x) * M.
+    :func:`_blocks`, so no temporary grows with len(x) * M.  Its rounding is
+    absolute: a grid whose peak |v| keeps fewer than 7 digits is a RangeError.
     """
     kappa, slots = _quarter(ring.kt, ring.m)
     scale = math.sin(ring.theta) * 2.0 * math.pi / ring.m * np.exp(1j * ring.kz * z)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    reach = ring.kt * float(np.hypot(np.abs(x).max(), np.abs(y).max()))
+    bound = _ROUNDING * math.sqrt(1.0 + reach) * abs(scale) * float(np.abs(ring.samples).sum())
     coef = np.zeros(4 * len(kappa), dtype=np.complex128)
     coef[slots] = scale * ring.samples
     coef = np.einsum("lq,pq->lp", coef.reshape(-1, 4), _PHASES.conj()).reshape(-1, 2, 2)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     out = np.empty((len(y), len(x)), dtype=np.complex128)
     pairs = out.view(np.float64)        # (ny, 2 nx): re, im interleaved
     for tile, tx, rows, ty in _blocks(x, y, kappa, 6):
@@ -310,6 +312,10 @@ def field_from_ring(ring, x, y, z):
             _product(ty.reshape(len(ty), -1), w, out=pairs[rows])
         else:                           # later wavenumber tiles add
             pairs[rows] += _product(ty.reshape(len(ty), -1), w)
+    peak = max(float(np.abs(out[i0:i0 + _BLOCK]).max()) for i0 in range(0, len(y), _BLOCK))
+    if bound > 1e-7 * peak:
+        raise RangeError(f"synthesised grid holds fewer than 7 correct digits: its rounding "
+                         f"bound is {bound / peak:.2g} of its peak |v|, above 1e-07")
     return out
 
 

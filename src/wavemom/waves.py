@@ -337,8 +337,9 @@ def sample_grid(label, nx, ny, dx, dy, x0=None, y0=None, z=0.0, description=None
     Samples sit at x0 + j*dx, y0 + i*dy; when x0/y0 are omitted the grid is
     centred on the origin.  A family may refuse samples outside its
     supported range: elliptic waves name the first offending sample index,
-    and Bessel waves refuse an order and reach that MAX_RING_SAMPLES ring
-    samples cannot synthesise.
+    Bessel waves refuse an order and reach that MAX_RING_SAMPLES ring samples
+    cannot synthesise, and both refuse a grid that keeps fewer than 7 correct
+    digits of its peak (``spectral.field_from_ring``).
     """
     if description is None:
         description = f"{label.family} wave sample"

@@ -545,6 +545,22 @@ def test_mathieu_lowest_coefficient_underflow_is_exit_2(tmp_path):
     assert not (tmp_path / "z.hwmf").exists()
 
 
+def test_bessel_grid_of_rounding_is_exit_2(tmp_path):
+    # the 64^2 grid lies far inside the n = 60 wave's caustic, where J_60 is about 1e-62:
+    # every sample was rounding, and momenta read a mean_lz of 0.0012 from it with exit 0
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "wavemom.cli", "gen", "--family", "bessel",
+                           "--k", "6.2832", "--theta", "0.3", "--n", "60",
+                           "--grid", "64,64", "--dx", "0.05", "--out", "b60.hwmf"],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: synthesised grid holds fewer than 7 correct digits: ")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "b60.hwmf").exists()
+
+
 def test_report_q_is_the_wave_q(tmp_path, monkeypatch):
     from wavemom import momenta
     from wavemom.waves import MathieuWave

@@ -19,7 +19,7 @@ from wavemom.fieldio import (
     write_oam_csv,
     write_ring_csv,
 )
-from wavemom.spectral import Cone, OamSpectrum, RingSpectrum
+from wavemom.spectral import Cone, OamSpectrum, RingSpectrum, ring_azimuths
 from wavemom.waves import BesselWave, FieldGrid, sample_grid
 
 
@@ -569,8 +569,8 @@ def test_csv_read_working_memory(tmp_path, whitespace_line):
     # time, then an int32 node index (0.25x) and its sorted copy (0.25x) while
     # the lattice is checked; the coordinates go before the field (1x) is made.
     # 2.57x measured on 7 chunks (3.57x on 256^2 while numpy parsed one (n, 4)
-    # array of rows); a whitespace-only line still takes numpy's bulk parse, not
-    # the row loop
+    # array of rows); a whitespace-only line is read by the row loop, which
+    # writes each row into arrays of the same size
     g, path, lines = _csv_lines(tmp_path, nx=320, ny=320)
     assert len(lines) - 1 >= 4 * fieldio._ROWS
     body = [lines[i + 1] for i in np.random.default_rng(2).permutation(len(lines) - 1)]
@@ -584,6 +584,35 @@ def test_csv_read_working_memory(tmp_path, whitespace_line):
     finally:
         tracemalloc.stop()
     assert back.values.tobytes() == g.values.tobytes()
+    assert peak <= 2.6 * g.values.nbytes
+
+
+@pytest.mark.parametrize("case", ["cr", "bad-last-token"])
+def test_csv_row_loop_working_memory(tmp_path, case):
+    # lone \r line ends and a token numpy refuses on the last row send the file to
+    # the row loop, which fills arrays as the bulk parse does and keeps no row list
+    # (17.4x and 15.4x the field on 512^2 while it kept every row as a tuple)
+    g, path, lines = _csv_lines(tmp_path, nx=320, ny=320)
+    body = [lines[i + 1] for i in np.random.default_rng(4).permutation(len(lines) - 1)]
+    newline = "\r" if case == "cr" else "\n"
+    if case == "bad-last-token":
+        x, y, re, im = body[-1].split(",")
+        body[-1] = f"{x},{y},{re},x"
+    path.write_text(newline.join(lines[:1] + body) + newline, newline="")
+    tracemalloc.start()
+    try:
+        if case == "cr":
+            back = read_field_csv(path, 2.0, 0.7)
+        else:
+            message = _read_error(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if case == "cr":
+        assert back.values.tobytes() == g.values.tobytes()
+    else:
+        assert message == (f"{path}:{len(lines)}: unparseable number: "
+                           "could not convert string to float: 'x'")
     assert peak <= 2.6 * g.values.nbytes
 
 
@@ -631,7 +660,7 @@ def test_csv_writers_golden_bytes(tmp_path):
     ring = RingSpectrum(2.0, 0.5, samples)
     path = tmp_path / "ring.csv"
     write_ring_csv(ring, path)
-    expected = "phi,re,im\n" + _lines(_g17(ring.azimuths()), _g17(samples.real),
+    expected = "phi,re,im\n" + _lines(_g17(ring_azimuths(ring.m)), _g17(samples.real),
                                        _g17(samples.imag))
     assert path.read_bytes() == expected.encode("utf-8")
 

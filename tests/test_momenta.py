@@ -351,7 +351,7 @@ def test_elliptic_invariant_odd_wave():
 ROUTE_CALLS = {
     "spectral": {"ring_spectrum_from_grid", "oam_spectrum", "_quarter", "_blocks", "_tables",
                  "_product", "_window_rows", "parseval_residual", "parseval_norm", "mean_charge",
-                 "ring_transverse_means"},
+                 "ring_transverse_means", "ring_azimuths"},
     "grid": {"grid_mean", "_lz", "_diff"},
     "paper": {"mathieu_eigen", "oam_mathieu_paper"},
 }

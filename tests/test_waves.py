@@ -101,13 +101,16 @@ def test_plane_wave_label_validation():
 # ------------------------------------------------------------- bessel
 
 def test_bessel_wave_at_origin():
-    # J_n(0) = 0 for n != 0, where the synthesis sums M ring phases that cancel to rounding
+    # J_n(0) = 0 for n != 0, where the synthesis sums M ring phases that cancel to rounding:
+    # a grid of that one sample holds only rounding and is refused, and beside a sample
+    # where the wave is not small the origin reads 0 to rounding
     w0 = BesselWave(1.0, math.pi / 2, 0)
     assert _at(w0, 0.0, 0.0, 0.0) == pytest.approx(math.sqrt(2 * math.pi))
-    w3 = BesselWave(1.0, 0.7, 3)
-    assert abs(_at(w3, 0.0, 0.0, 0.0)) < 1e-15
-    wm2 = BesselWave(1.0, 0.7, -2)
-    assert abs(_at(wm2, 0.0, 0.0, 0.0)) < 1e-15
+    for n in (3, -2):
+        w = BesselWave(1.0, 0.7, n)
+        with pytest.raises(RangeError, match="fewer than 7 correct digits"):
+            _at(w, 0.0, 0.0, 0.0)
+        assert abs(w.sample(np.array([0.0, 5.0]), np.array([0.0]), 0.0)[0, 0]) < 1e-15
 
 
 def test_bessel_wave_first_radial_maximum():
@@ -193,11 +196,12 @@ def _matching_q_label(parity, n, q_target=1.0):
 
 
 def test_odd_wave_vanishes_between_foci():
+    # a sample on the segment is rounding: refused alone, 0 beside a sample off the segment
     w = _matching_q_label("odd", 1)
-    for frac in (0.0, 0.4, 0.9):
-        val = _at(w, frac * w.f, 0.0, 0.0)
-        assert abs(val) < 1e-12
-        val = _at(w, -frac * w.f, 0.0, 0.0)
+    for frac in (0.0, 0.4, 0.9, -0.4, -0.9):
+        with pytest.raises(RangeError, match="fewer than 7 correct digits"):
+            _at(w, frac * w.f, 0.0, 0.0)
+        val = w.sample(np.array([frac * w.f]), np.array([0.0, w.f]), 0.0)[0, 0]
         assert abs(val) < 1e-12
 
 
@@ -222,11 +226,12 @@ def test_even_wave_on_axis_composition():
 
 
 def test_mathieu_wave_continuous_across_segment():
+    # odd 2 vanishes on the segment, so its two samples beside it are taken with one
+    # off it, where the wave is not small and the grid keeps its digits
     for parity, n in (("even", 1), ("odd", 2)):
         w = _matching_q_label(parity, n)
         x = 0.55 * w.f
-        above = _at(w, x, 1e-9 * w.f, 0.0)
-        below = _at(w, x, -1e-9 * w.f, 0.0)
+        above, below, _ = w.sample(np.array([x]), np.array([1e-9, -1e-9, 1.0]) * w.f, 0.0)[:, 0]
         assert above == pytest.approx(below, abs=2e-8 * (1 + abs(above)))
 
 
@@ -464,6 +469,31 @@ def test_mathieu_synthesis_is_nearer_the_true_field(parity, n):
         assert abs(closed[at] - ref) <= 1e-10 * peak
     far = abs(closed[0, 0] - refs[0, 0]) / peak
     assert far > 1e-12 and abs(synth[0, 0] - refs[0, 0]) <= 1e-3 * far * peak
+
+
+def test_synthesis_refuses_a_grid_of_rounding():
+    # the synthesis's rounding is absolute, about eps sin(theta) (2 pi / M) sum |a_m|, so a
+    # grid where the wave is far smaller than its ring's weight holds only rounding
+    axis = -31.5 * 0.05 + 0.05 * np.arange(64)
+    with pytest.raises(RangeError) as refused:  # J_60(4.2) is about 1e-62; the grid's peak 1e-15
+        BesselWave(6.2832, 0.3, 60).sample(axis, axis, 0.0)
+    assert str(refused.value).startswith("synthesised grid holds fewer than 7 correct digits: "
+                                         "its rounding bound is ")
+    # Mathieu even 30 at q = 40 (a bound of 0.19 of its peak): its spectral mean_lz read
+    # -3.2e-4, where symmetry gives 0
+    w = MathieuWave(6.283185307179586, 0.5235987755982988, 30, "even", 4.02634)
+    with pytest.raises(RangeError, match="fewer than 7 correct digits"):
+        sample_grid(w, 128, 128, 0.0182552, 0.0182552)
+    # order 10 on the same 64^2 grid keeps its digits (a rounding bound of 1.5e-11 of its peak)
+    w = BesselWave(6.2832, 0.3, 10)
+    values = w.sample(axis, axis, 0.0)
+    ref = bessel_field(w, *np.meshgrid(axis, axis), 0.0)
+    assert np.abs(values - ref).max() <= 1e-11 * np.abs(ref).max()
+    # and so do the benchmark's Mathieu waves, whose corners reach 0.94 of the radial range
+    for parity, n in (("even", 2), ("odd", 1)):
+        w = _matching_q_label(parity, n)
+        d = 2.0 * w.f * math.sinh(0.94 * radial_xi_max(w.q)) / math.sqrt(2.0) / 128
+        sample_grid(w, 128, 128, d, d)
 
 
 def test_mathieu_synthesis_ring_size(monkeypatch):
